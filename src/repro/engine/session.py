@@ -39,6 +39,7 @@ the session lifecycle.
 from __future__ import annotations
 
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
@@ -56,7 +57,8 @@ from ..relational.instance import DatabaseInstance
 from ..relational.values import Null, NullFactory
 from .matching import DeltaJoinPlan, Matcher, matcher_for, resolve_engine
 from .stats import EngineStats
-from .versioning import InstanceVersion, ReadTransaction, VersionStore
+from .versioning import (InstanceVersion, ReadTransaction, RelationDeltas,
+                         VersionStore)
 
 AnswerTuple = Tuple[Any, ...]
 Answers = Tuple[AnswerTuple, ...]
@@ -189,11 +191,12 @@ class MaintainedAnswers:
         """Carry ``previous``'s sorted rows over, moved by the zero
         crossings of one maintenance pass.
 
-        ``vanished`` rows lost their last support (dropped), ``appeared``
-        rows gained their first (inserted at their sort position via the
-        parallel key list).  A row in both nets out to its old position.
-        Cost is one O(answers) filtered copy plus O(delta) binary
-        insertions — never a full sort with per-row key building.
+        ``vanished`` rows lost their last support (deleted at their sort
+        position), ``appeared`` rows gained their first (inserted at
+        theirs), both found by bisecting the parallel key list.  A row in
+        both keeps its old position.  Cost is two C-level list copies plus
+        O(delta) binary searches — never a Python-level pass over the
+        answers, let alone a full sort with per-row key building.
 
         ``previous`` may belong to a live session whose readers memoize
         further flavours concurrently (``rows()`` runs lock-free), so the
@@ -201,25 +204,28 @@ class MaintainedAnswers:
         the GIL) before iterating; a flavour memoized after the snapshot
         is simply recomputed on the fresh entry's first read.
         """
-        from bisect import bisect_left
+        both = vanished.intersection(appeared)
+        moved = [(row, self._sort_key(row), True) for row in vanished - both]
+        moved += [(row, self._sort_key(row), False) for row in appeared
+                  if row not in both]
         for flavor, (rows, keys) in list(previous._rows.items()):
-            if not vanished and not appeared:
+            if not moved:
                 self._rows[flavor] = (rows, keys)
                 continue
-            new_rows = []
-            new_keys = []
-            for row, key in zip(rows, keys):
-                if row not in vanished:
-                    new_rows.append(row)
-                    new_keys.append(key)
-            for row in appeared:
+            new_rows = list(rows)
+            new_keys = list(keys)
+            for row, key, gone in moved:
                 if not flavor and \
                         any(isinstance(value, Null) for value in row):
-                    continue
-                key = self._sort_key(row)
+                    continue  # never listed among the certain answers
                 at = bisect_left(new_keys, key)
-                new_keys.insert(at, key)
-                new_rows.insert(at, row)
+                if gone:  # distinct rows may share a key: find this one
+                    while new_rows[at] != row:
+                        at += 1
+                    del new_rows[at], new_keys[at]
+                else:
+                    new_keys.insert(at, key)
+                    new_rows.insert(at, row)
             self._rows[flavor] = (tuple(new_rows), tuple(new_keys))
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -296,12 +302,13 @@ class MaterializedProgram:
         self.snapshot_meta: Dict[str, Any] = {}
         #: serializes writers (updates); readers never take this lock
         self._write_lock = threading.RLock()
-        #: published instance versions readers pin (MVCC, relation-level COW)
+        #: published instance versions readers pin (MVCC; see versioning.py)
         self.versions = VersionStore()
         self.result: ChaseResult = self._materialize()
         self.stats.merge(self.result.stats)
         self.result.stats = self.stats
-        self.versions.publish(self.version, self.instance, changed=None)
+        self.versions.publish(self.version, self.instance, changed=None,
+                              stats=self.stats)
 
     # -- state --------------------------------------------------------------
 
@@ -493,7 +500,6 @@ class MaterializedProgram:
             changed |= {predicate for predicate, _ in removed_facts}
         update_stats = result.stats
         update_stats.incremental_updates += 1
-        self.stats.merge(update_stats)
         self.result.steps += result.steps
         self.result.rounds += result.rounds
         self.result.egd_merges += result.egd_merges
@@ -502,19 +508,20 @@ class MaterializedProgram:
                               stats=update_stats, added_facts=added_facts,
                               removed_facts=removed_facts)
         self._publish(update)
+        self.stats.merge(update_stats)  # after: publish counts into it
         return update
 
     def _full_update(self, action: str, applied: List[Fact]) -> UpdateResult:
         result = self._materialize()
         update_stats = result.stats
         update_stats.full_rechases += 1
-        self.stats.merge(update_stats)
         self.result = result
         self.result.stats = self.stats
         update = UpdateResult(action=action, strategy=FULL, applied=applied,
                               changed_predicates=None, steps=result.steps,
                               stats=update_stats)
         self._publish(update)
+        self.stats.merge(update_stats)  # after: publish counts into it
         return update
 
     # -- persistence --------------------------------------------------------
@@ -555,18 +562,20 @@ class MaterializedProgram:
     def _publish(self, update: UpdateResult) -> None:
         """Maintain/invalidate session caches and publish the new version.
 
-        The expensive work — relation snapshot copies and the delta joins
-        that maintain cached answers — runs *before* the store lock is
-        taken (the single writer holds the program's write lock, so the
-        working instance cannot move underneath).  Under the lock, every
-        session atomically swaps in its maintained answers (or drops what
-        could not be maintained) together with the publication of the new
-        version, so a reader can never pin the new version while a cache
-        still serves the old version's answers, nor store stale answers
-        after the swap — the reader-side counterpart is
+        The expensive work — the relation copies a publication still needs
+        and the delta joins that maintain cached answers — runs *before*
+        the store lock is taken (the single writer holds the program's
+        write lock, so the working instance cannot move underneath).  Under
+        the lock, every session atomically swaps in its maintained answers
+        (or drops what could not be maintained) together with the
+        publication of the new version, so a reader can never pin the new
+        version while a cache still serves the old version's answers, nor
+        store stale answers after the swap — the reader-side counterpart is
         ``QuerySession._answers_at``.  Deletion deltas are joined against
         the *previous published version* (where the removed facts still
-        exist); insertion deltas against the post-update working instance.
+        exist) — which is why that join runs before ``publish`` advances
+        the previous version's relations in place by the update's fact
+        delta; insertion deltas against the post-update working instance.
         """
         if self._restored_maintained:
             # Snapshot-restored answer counts nobody has adopted yet cannot
@@ -581,9 +590,17 @@ class MaterializedProgram:
                         for cq, counts in self._restored_maintained
                         if not (cq.body_predicates() & changed)]
                 self._restored_maintained = kept or None
+        deltas: Optional[RelationDeltas] = None
+        if update.added_facts is not None and \
+                update.removed_facts is not None:
+            deltas = {}
+            for predicate, row in update.removed_facts:
+                deltas.setdefault(predicate, ([], []))[0].append(row)
+            for predicate, row in update.added_facts:
+                deltas.setdefault(predicate, ([], []))[1].append(row)
         copies = self.versions.prepare(self.instance,
-                                       update.changed_predicates)
-        previous = self.versions.latest_instance()
+                                       update.changed_predicates, deltas)
+        previous = self.versions.latest_instance()  # unpinned: writer-only
         sessions = list(self._sessions)
         maintained = [(session,
                        session._maintain_answers(update, previous,
@@ -593,7 +610,8 @@ class MaterializedProgram:
             for session, refreshed in maintained:
                 session._note_update(update, refreshed)
             self.versions.publish(self.version, self.instance,
-                                  update.changed_predicates, copies=copies)
+                                  update.changed_predicates, copies=copies,
+                                  deltas=deltas, stats=update.stats)
 
     # -- answering ----------------------------------------------------------
 
@@ -729,11 +747,15 @@ class QuerySession:
             self.stats.cache_hits += 1
             return entry[1]
         self.stats.cache_misses += 1
+        bound = comparison_bindings(cq.comparisons)
         if instance is None:
-            instance = self.materialized.versions.latest().instance
-        plan = self._matcher.plan(
-            cq.body, instance,
-            bound=comparison_bindings(cq.comparisons))
+            # Plan against a *pinned* version: the writer may advance an
+            # unpinned published relation in place under the planner.
+            with self.read() as transaction:
+                plan = self._matcher.plan(cq.body, transaction.instance,
+                                          bound=bound)
+        else:
+            plan = self._matcher.plan(cq.body, instance, bound=bound)
         self._plans[key] = (cq, plan)
         return plan
 

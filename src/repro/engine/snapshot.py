@@ -697,7 +697,8 @@ def load_program(path: PathLike, program=None, engine: Optional[str] = None,
 
     materialized._write_lock = threading.RLock()
     materialized.versions = VersionStore()
-    materialized.versions.publish(materialized.version, instance, changed=None)
+    materialized.versions.publish(materialized.version, instance, changed=None,
+                                  stats=materialized.stats)
     return materialized
 
 

@@ -78,6 +78,15 @@ class EngineStats:
     #: group-index delta merges: an already-built column group index
     #: updated in place by a mutation instead of invalidated and rebuilt
     index_delta_merges: int = 0
+    #: touched relations an MVCC publication advanced in place by the
+    #: update's fact delta (O(delta), no copy)
+    relations_patched: int = 0
+    #: touched relations an MVCC publication snapshot-copied instead (the
+    #: initial publication, a pinned reader sharing the twin, an unknown or
+    #: oversized delta, a failed patch)
+    relations_copied: int = 0
+    #: rows held by those copies — the O(relation) work publications did
+    rows_copied_by_publish: int = 0
 
     @classmethod
     def counter_names(cls) -> Tuple[str, ...]:

@@ -236,7 +236,7 @@ class Context:
                 f"quality version {name!r} has arity {materialized.schema.arity}, "
                 f"expected {original_schema.arity} (same schema as {relation!r})")
         renamed = Relation(RelationSchema(name, original_schema.attributes))
-        renamed.add_all(materialized)
+        renamed.bulk_load(materialized)
         return renamed
 
     def quality_version(self, instance: DatabaseInstance, relation: str,

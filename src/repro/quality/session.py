@@ -87,10 +87,12 @@ class QualitySession:
         if relation in self._dirty_versions or relation not in self._versions:
             self.stats.cache_misses += 1
             # Extract from the latest *published* version, not the working
-            # instance a concurrent update may be mutating.
-            chased = self.materialized.versions.latest().instance
-            self._versions[relation] = self.context.materialize_quality_version(
-                chased, self.instance, relation)
+            # instance a concurrent update may be mutating — and pinned, so
+            # the next publication cannot advance it in place meanwhile.
+            with self.read() as transaction:
+                self._versions[relation] = \
+                    self.context.materialize_quality_version(
+                        transaction.instance, self.instance, relation)
             self._dirty_versions.discard(relation)
             self._dirty_assessments.add(relation)
         else:

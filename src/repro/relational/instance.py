@@ -143,9 +143,8 @@ class Relation:
         if self._rows or self._indexes or self._value_index is not None \
                 or self._column_store is not None:
             return sum(self.add_many(rows))
-        keyed = [tuple(row) for row in rows]
-        arity = self.schema.arity
-        if any(len(row) != arity for row in keyed):
+        keyed = list(map(tuple, rows))
+        if set(map(len, keyed)) - {self.schema.arity}:
             for row in keyed:
                 self.schema.check_arity(row)
         self._rows = dict.fromkeys(keyed)
@@ -304,8 +303,9 @@ class Relation:
         relation has not been mutated since, the *same* clone object is
         returned — publishing an untouched relation costs one counter
         comparison instead of re-copying every index bucket.  Sharing is
-        safe because published relations are immutable by contract (see
-        :meth:`DatabaseInstance.attach`).
+        safe because a clone is mutated only through
+        :meth:`advance_snapshot`, which keeps it equal to this relation
+        (see :meth:`DatabaseInstance.attach` for who may call it).
         """
         cached = self._snapshot_cache
         if cached is not None and cached[0] == self._mutations:
@@ -324,6 +324,29 @@ class Relation:
         clone._snapshot_cache = None
         self._snapshot_cache = (self._mutations, clone)
         return clone
+
+    def advance_snapshot(self, twin: "Relation",
+                         removed: Iterable[Row], added: Iterable[Row]) -> bool:
+        """Bring ``twin`` — an earlier :meth:`snapshot` of this relation —
+        up to this relation's state in place, in O(delta).
+
+        ``removed``/``added`` are the rows this relation lost and gained
+        since ``twin`` last equalled it (a row in both was removed, then
+        re-added); they are replayed in that order through ``twin``'s
+        normal mutation hooks, so its pattern indexes and column store
+        follow.  Returns ``False`` when the sizes then disagree — the
+        delta was not exact and the caller must take a fresh
+        :meth:`snapshot`; on success ``twin`` becomes the cached snapshot
+        again.  Only the version store calls this, and only on a twin no
+        pinned reader can reach.
+        """
+        for row in removed:
+            twin.discard(row)
+        twin.add_many(added)
+        if len(twin._rows) != len(self._rows):
+            return False
+        self._snapshot_cache = (self._mutations, twin)
+        return True
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
@@ -378,7 +401,10 @@ class DatabaseInstance:
         (:mod:`repro.engine.versioning`): a published instance version
         attaches the previous version's relation objects for relations an
         update did not touch, so their rows and pattern indexes are reused
-        instead of copied.  Attached relations must be treated as immutable.
+        instead of copied.  Attached relations are read-only for everyone
+        but the version store, which may advance one in place
+        (:meth:`Relation.advance_snapshot`) while no pinned version
+        attaches it.
         """
         self.schema.add(relation.schema)
         self._relations[relation.schema.name] = relation

@@ -111,7 +111,9 @@ def render_engine_stats(stats: EngineStats, markdown: bool = False) -> str:
     skipped by the delta discipline, rows rewritten by EGD merges, and the
     columnar path's batch counters (``batch_joins``, ``rows_batch_scanned``,
     ``codegen_cache_hits``) plus the session layer's support-count
-    evictions — every :class:`EngineStats` field renders automatically.
+    evictions and MVCC publication path (``relations_patched`` in place vs
+    ``relations_copied`` / ``rows_copied_by_publish``) — every
+    :class:`EngineStats` field renders automatically.
     """
     return render_table(("counter", "value"), list(stats.as_dict().items()),
                         markdown=markdown)

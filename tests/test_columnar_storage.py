@@ -200,23 +200,31 @@ def test_snapshot_clone_is_isolated_from_later_mutations():
 
 
 def test_publish_reuses_snapshot_for_untouched_relations():
-    """Across two updates touching only one relation, the untouched
-    relation's published object is shared (same clone), the touched one is
-    refreshed."""
+    """Across updates touching only one relation, the untouched relation's
+    published object is shared; the touched one is copied while a reader
+    pins it and advanced in place — the same object — once nobody does."""
     program = parse_program("""
         r(1,2). r(2,3).
         s(7).
     """)
     materialized = MaterializedProgram(program)
     versions = materialized.versions
-    v0 = versions.latest()
     materialized.add_facts([("r", (3, 4))])
-    v1 = versions.latest()
+    v1 = versions.pin()
     materialized.add_facts([("r", (4, 5))])
-    v2 = versions.latest()
+    v2 = versions.pin()
     assert v1.instance.relation("s") is v2.instance.relation("s")
     assert v1.instance.relation("r") is not v2.instance.relation("r")
-    assert v0.version < v1.version < v2.version
+    assert sorted(v1.instance.relation("r")) == [(1, 2), (2, 3), (3, 4)]
+    versions.unpin(v1)
+    versions.unpin(v2)
+    materialized.add_facts([("r", (5, 6))])
+    v3 = versions.pin()
+    assert v3.instance.relation("s") is v2.instance.relation("s")
+    assert v3.instance.relation("r") is v2.instance.relation("r")
+    assert (5, 6) in v3.instance.relation("r")
+    assert v1.version < v2.version < v3.version
+    versions.unpin(v3)
 
 
 # -- support-count budget -----------------------------------------------------

@@ -1,4 +1,5 @@
-"""The lint pass's un-floored wall-clock assertion check (tools/lint.py)."""
+"""The lint pass's un-floored wall-clock assertion check, and its
+unpinned-published-version-read check (tools/lint.py)."""
 
 from __future__ import annotations
 
@@ -80,3 +81,37 @@ def test_only_tests_and_benchmarks_are_checked(tmp_path):
     target.write_text(source, encoding="utf-8")
     assert [issue for issue in lint_file(target)
             if "wall-clock" in issue] == []
+
+
+# -- unpinned reads of the latest published version ----------------------------
+
+
+def _unpinned_issues(tmp_path, source: str, name: str = "repro/quality/x.py"):
+    target = tmp_path / "src" / name  # the check only applies under src/
+    target.parent.mkdir(parents=True, exist_ok=True)
+    target.write_text(source, encoding="utf-8")
+    return [issue for issue in lint_file(target) if "unpinned" in issue]
+
+
+def test_flags_unpinned_latest_reads_in_src(tmp_path):
+    issues = _unpinned_issues(tmp_path, (
+        "def f(materialized, store):\n"
+        "    a = materialized.versions.latest().instance\n"
+        "    b = store.latest_instance()\n"
+        "    c = store.latest().version\n"  # no relation reached: fine
+        "    return a, b, c\n"))
+    assert [issue.split(":")[1] for issue in issues] == ["2", "3"]
+
+
+def test_writer_only_annotation_and_versioning_module_pass(tmp_path):
+    annotated = (
+        "def f(store):\n"
+        "    # unpinned: writer-only\n"
+        "    return store.latest_instance()\n")
+    assert _unpinned_issues(tmp_path, annotated) == []
+    bare = "def f(store):\n    return store.latest().instance\n"
+    assert _unpinned_issues(tmp_path, bare, "repro/engine/versioning.py") == []
+    outside = tmp_path / "tests" / "test_y.py"
+    outside.parent.mkdir(parents=True, exist_ok=True)
+    outside.write_text(bare, encoding="utf-8")
+    assert [i for i in lint_file(outside) if "unpinned" in i] == []

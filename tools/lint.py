@@ -27,6 +27,13 @@ actually relies on in CI:
   budget (``max(FLOOR, ratio * baseline)``) or a named budget variable
   instead, or annotate ``# wall-clock: ok — <reason>`` on the assert line
   or the line above;
+* **unpinned reads of published versions in ``src/``** —
+  ``….latest().instance`` or ``….latest_instance()`` outside
+  ``engine/versioning.py``.  The version store advances an unpinned
+  published relation *in place* on the next publication, so library code
+  must reach published relations through a pin (``store.pin()`` /
+  ``ReadTransaction``); the single writer, which cannot race itself,
+  annotates ``# unpinned: writer-only`` on the line or the line above;
 * **syntax errors** — files that do not parse at all.
 
 Usage::
@@ -164,6 +171,36 @@ def _tainted_names(tree: ast.Module) -> Set[str]:
     return tainted
 
 
+UNPINNED_SUPPRESS = "# unpinned: writer-only"
+
+
+def _is_method_call(node: ast.AST, name: str) -> bool:
+    return (isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr == name)
+
+
+def _unpinned_version_reads(path: Path, tree: ast.Module,
+                            lines: List[str]) -> Iterator[str]:
+    normalized = str(path).replace("\\", "/")
+    if "src/" not in normalized or \
+            normalized.endswith("engine/versioning.py"):
+        return
+    for node in ast.walk(tree):
+        if not (_is_method_call(node, "latest_instance")
+                or (isinstance(node, ast.Attribute)
+                    and node.attr == "instance"
+                    and _is_method_call(node.value, "latest"))):
+            continue
+        nearby = lines[max(node.lineno - 2, 0):node.lineno]
+        if any(UNPINNED_SUPPRESS in line for line in nearby):
+            continue
+        yield (f"{path}:{node.lineno}: unpinned read of the latest published "
+               f"version (the writer may advance it in place: read through "
+               f"a pin / ReadTransaction, or annotate "
+               f"'{UNPINNED_SUPPRESS}')")
+
+
 def _is_bare_number(node: ast.AST) -> bool:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         node = node.operand
@@ -208,6 +245,7 @@ def lint_file(path: Path) -> Iterator[str]:
         return
     yield from _per_tuple_loops(path, tree, source.splitlines())
     yield from _unfloored_wall_clock_asserts(path, tree, source.splitlines())
+    yield from _unpinned_version_reads(path, tree, source.splitlines())
     imported = _imported_names(tree)
     used = _used_names(tree)
     seen: Set[str] = set()
