@@ -10,13 +10,13 @@ sessions.  Restoring a snapshot rebuilds a fully live session — further
 maintain the restored answers exactly as the original process would have —
 without re-chasing or re-answering anything.
 
-File format (version 1)
+File format (version 2)
 -----------------------
 Two lines of canonical JSON (sorted keys, compact separators), so the same
 state always produces the same bytes: a **header** line followed by the
 **payload** line::
 
-    {"format_version": 1, "magic": "repro-snapshot",
+    {"format_version": 2, "magic": "repro-snapshot",
      "payload_checksum": "...", "program_hash": "...", "schema_hash": "..."}
     {...payload...}
 
@@ -41,10 +41,16 @@ and never a silently empty instance:
   it was taken against different rules or a different EDB than the program
   supplied at load time.
 
-Values are encoded as their JSON scalars (strings, ints, floats, bools,
-``null``); labeled nulls as ``{"n": label}``; rule terms additionally use
-``{"v": name}`` for variables.  Rows and provenance entries are sorted
-canonically, so serialization is deterministic.
+``values`` lists every distinct stored value once, ordered by
+:func:`~repro.relational.values.value_sort_key` and encoded as a JSON
+scalar (labeled nulls as ``{"n": label}``; rule terms also use ``{"v":
+name}`` for variables).  Everything else names a value by its *rank* in
+that list, never by a process-wide ``ValueCatalog`` code, so the same state
+gives the same bytes in any process: relation rows are flat rank lists
+(row-major, sorted as integer tuples), provenance edges ``[fact, body...]``
+are positions of instance rows (relations by name, rows as stored), and
+maintained counts are ``[rank..., support]`` rows.  Values equal under
+Python equality (``1``, ``True``) share one entry, as they share one code.
 """
 
 from __future__ import annotations
@@ -53,20 +59,22 @@ import hashlib
 import json
 import os
 import sys
+from itertools import chain, count
+from operator import itemgetter
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ..datalog.atoms import Atom, Comparison
 from ..datalog.chase import Fact
 from ..datalog.rules import ConjunctiveQuery, EGD, NegativeConstraint, TGD
 from ..datalog.terms import Variable
-from ..errors import (ArityError, SnapshotError, SnapshotFormatError,
+from ..errors import (SnapshotError, SnapshotFormatError,
                       SnapshotIntegrityError, SnapshotMismatchError)
 from ..relational.instance import DatabaseInstance
 from ..relational.values import Null, intern_value, value_sort_key
 
 MAGIC = "repro-snapshot"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _sys_intern = sys.intern
 
@@ -91,8 +99,12 @@ def encode_value(value: Any) -> Any:
 
 
 def decode_value(encoded: Any) -> Any:
-    """Inverse of :func:`encode_value`."""
-    if isinstance(encoded, dict):
+    """Inverse of :func:`encode_value`, strings interned.  Other values are
+    not canonicalized through the process-wide ``ValueInterner``, which may
+    already hold an equal value of another type (``1`` for ``True``)."""
+    if type(encoded) is str:
+        return _sys_intern(encoded)
+    if type(encoded) is dict:
         return Null(encoded["n"])
     return encoded
 
@@ -102,13 +114,11 @@ def encode_row(row: Iterable[Any]) -> List[Any]:
 
 
 def decode_row(encoded: Iterable[Any]) -> Tuple[Any, ...]:
-    # The hot loop of a restore: inlined null decoding, tuple-from-list,
-    # constants interned so the restored instance shares one object per
-    # distinct value (pointer-identity hashing/equality, less memory).
-    # Strings — the overwhelmingly common case — go straight to
-    # sys.intern; exact type checks and hoisted builtins keep the loop
-    # free of Python-level call layers (this path dominates warm-restart
-    # latency, see benchmarks E13/E15).
+    # The wire's row decoder: inlined null decoding, tuple-from-list,
+    # constants interned so decoded rows share one object per distinct
+    # value (pointer-identity hashing/equality, less memory).  Strings go
+    # straight to sys.intern; exact type checks and hoisted builtins keep
+    # the loop free of Python-level call layers.
     return tuple([
         _sys_intern(value) if type(value) is str
         else Null(value["n"]) if type(value) is dict
@@ -216,88 +226,79 @@ def decode_rule(encoded: Dict[str, Any]) -> Any:
 
 
 # ---------------------------------------------------------------------------
-# Instance / fact codecs
+# Rank codecs: instances and provenance
 # ---------------------------------------------------------------------------
 
 
-def encode_instance(instance: DatabaseInstance) -> Dict[str, Any]:
-    """Encode schema and rows of an instance (rows in canonical order)."""
-    return {
-        "schema": [[relation.schema.name, list(relation.schema.attributes)]
-                   for relation in instance],
-        "rows": {
-            relation.schema.name: [encode_row(row)
-                                   for row in relation.sorted_rows()]
-            for relation in instance if len(relation)
-        },
-    }
+def _encode_instance(instance: DatabaseInstance, rank: Dict[Any, int],
+                     positions: Optional[Dict[str, Dict[Tuple, int]]] = None
+                     ) -> Dict[str, Any]:
+    """Schema, and each non-empty relation's rows as one flat rank list
+    sorted as integer tuples.  ``positions``, when given, receives each
+    relation's row → position map (relations by name, the JSON order)."""
+    rows: Dict[str, List[int]] = {}
+    base = 0
+    for relation in sorted(instance, key=lambda relation: relation.schema.name):
+        if not relation:
+            continue
+        name = relation.schema.name
+        coded = zip(*[iter(map(rank.__getitem__, chain.from_iterable(
+            relation)))] * relation.schema.arity)
+        if positions is None:
+            ordered = sorted(coded)
+        else:
+            pairs = sorted(zip(coded, relation))
+            ordered = map(itemgetter(0), pairs)
+            positions[name] = dict(zip(map(itemgetter(1), pairs), count(base)))
+            base += len(pairs)
+        rows[name] = list(chain.from_iterable(ordered))
+    return {"schema": [[relation.schema.name, list(relation.schema.attributes)]
+                       for relation in instance],
+            "rows": rows}
 
 
-def decode_instance(encoded: Dict[str, Any]) -> DatabaseInstance:
-    """Inverse of :func:`encode_instance`.
+def _decode_instance(encoded: Dict[str, Any],
+                     values: Sequence[Any]) -> DatabaseInstance:
+    """Inverse of :func:`_encode_instance`.
 
     Rows ride the relation's bulk-load fast path (``Relation.bulk_load``):
-    one arity scan, then a wholesale dictionary assignment — the writer
-    serialized a valid instance and the checksum vouches for the bytes, so
-    nothing is checked row by row.
+    one wholesale dictionary assignment — the writer serialized a valid
+    instance and the checksum vouches for the bytes, so nothing is checked
+    row by row.
     """
     instance = DatabaseInstance()
     for name, attributes in encoded["schema"]:
         instance.declare(name, attributes)
-    for name, rows in encoded["rows"].items():
+    for name, flat in encoded["rows"].items():
         relation = instance.relation(name)
-        try:
-            relation.bulk_load([decode_row(row) for row in rows])
-        except ArityError:
+        arity = relation.schema.arity
+        if len(flat) % arity:
             raise SnapshotFormatError(
                 f"snapshot rows for relation {name!r} do not match its "
-                f"declared arity {relation.schema.arity}") from None
+                f"declared arity {arity}")
+        relation.bulk_load(zip(*[iter(map(values.__getitem__, flat))] * arity))
     return instance
 
 
-def _encode_fact(fact: Fact) -> List[Any]:
-    predicate, row = fact
-    return [predicate, encode_row(row)]
+def _null_ranks(rows: Dict[str, List[int]], values: Sequence[Any]) -> List[int]:
+    """The sorted ranks of the labeled nulls occurring in rank ``rows``."""
+    return sorted(position for position in set().union(*rows.values())
+                  if isinstance(values[position], Null))
 
 
-def _decode_fact(encoded: List[Any]) -> Fact:
-    return (encoded[0], decode_row(encoded[1]))
-
-
-def _fact_key(fact: Fact) -> Tuple:
-    predicate, row = fact
-    return (predicate, tuple(value_sort_key(value) for value in row))
-
-
-def encode_provenance(provenance: Dict[Fact, Tuple[Fact, ...]]
-                      ) -> Dict[str, List[Any]]:
-    """Provenance graph as a fact table plus integer edges.
-
-    A derived fact and its grounded body facts recur across many edges;
-    encoding every distinct fact once and the edges as indexes keeps the
-    file compact and lets a restore decode each fact exactly once.  Both
-    the table and the edge list are canonically sorted, so the encoding is
-    deterministic.
-    """
-    index: Dict[Fact, int] = {}
-    ordered = sorted(
-        {fact for fact, supports in provenance.items()
-         for fact in (fact, *supports)},
-        key=_fact_key)
-    for position, fact in enumerate(ordered):
-        index[fact] = position
-    edges = sorted((index[fact], [index[body] for body in supports])
-                   for fact, supports in provenance.items())
-    return {"facts": [_encode_fact(fact) for fact in ordered],
-            "edges": [[fact, supports] for fact, supports in edges]}
-
-
-def decode_provenance(encoded: Dict[str, List[Any]]
-                      ) -> Dict[Fact, Tuple[Fact, ...]]:
-    """Inverse of :func:`encode_provenance`."""
-    facts = [_decode_fact(fact) for fact in encoded["facts"]]
-    return {facts[fact]: tuple(facts[body] for body in supports)
-            for fact, supports in encoded["edges"]}
+def _encode_provenance(provenance: Dict[Fact, Tuple[Fact, ...]],
+                       positions: Dict[str, Dict[Tuple, int]]
+                       ) -> List[List[int]]:
+    """Provenance edges ``[fact, body...]`` over instance-row positions."""
+    try:
+        return sorted(
+            [positions[predicate][row],
+             *[positions[body][body_row] for body, body_row in supports]]
+            for (predicate, row), supports in provenance.items())
+    except KeyError:
+        raise SnapshotError(
+            "cannot serialize provenance: it names a fact the materialized "
+            "instance does not hold (provenance out of sync)") from None
 
 
 # ---------------------------------------------------------------------------
@@ -336,40 +337,25 @@ def program_hash(tgds: Iterable[TGD], egds: Iterable[EGD],
 # ---------------------------------------------------------------------------
 
 
-def encode_maintained(materialized) -> List[Dict[str, Any]]:
-    """Encode the maintained answer counts of the program's sessions.
+def _maintained_entries(materialized
+                        ) -> List[Tuple[ConjunctiveQuery, Dict[Tuple, int]]]:
+    """The maintained answer counts of the program's sessions.
 
-    Entries are gathered across every query session (first session wins per
-    query) and sorted by query text, so the encoding is deterministic.  A
-    restored program hands them to the first session created over it —
-    answering and maintenance resume without a single re-join.  Each
-    session's entry dict is snapshot atomically (a C-level ``list()`` under
-    the GIL) before iterating: readers install entries without holding the
-    program's write lock, and a save must never crash — or encode a torn
-    view — because a query was being answered concurrently.
+    Gathered across every query session (first session wins per query),
+    plus restored counts no session has adopted yet, and sorted by query
+    text.  A restored program hands them to the first session created over
+    it — answering and maintenance resume without a single re-join.  Each
+    session's entry dict is copied atomically (a C-level ``list()`` under
+    the GIL) before iterating: readers install entries without the write
+    lock, and a save must never crash or encode a torn view because of it.
     """
-    collected: Dict[str, Any] = {}
+    collected: Dict[str, Tuple[ConjunctiveQuery, Dict[Tuple, int]]] = {}
     for session in list(getattr(materialized, "_sessions", ())):
         for key, entry in list(getattr(session, "_maintained", {}).items()):
-            collected.setdefault(key, entry)
-    encoded = []
-    for key in sorted(collected):
-        entry = collected[key]
-        rows = sorted(entry.counts.items(),
-                      key=lambda item: tuple(value_sort_key(value)
-                                             for value in item[0]))
-        encoded.append({"query": encode_query(entry.cq),
-                        "counts": [[encode_row(row), support]
-                                   for row, support in rows]})
-    return encoded
-
-
-def decode_maintained(encoded: List[Dict[str, Any]]
-                      ) -> List[Tuple[ConjunctiveQuery, Dict[Tuple, int]]]:
-    """Inverse of :func:`encode_maintained`."""
-    return [(decode_query(item["query"]),
-             {decode_row(row): support for row, support in item["counts"]})
-            for item in encoded]
+            collected.setdefault(key, (entry.cq, entry.counts))
+    for cq, counts in getattr(materialized, "_restored_maintained", None) or ():
+        collected.setdefault(str(cq), (cq, counts))
+    return [collected[key] for key in sorted(collected)]
 
 
 def save_program(materialized, path: PathLike,
@@ -384,8 +370,33 @@ def save_program(materialized, path: PathLike,
     write-ahead-log position of a checkpoint there, so a restore knows the
     exact cut the snapshot represents (see :mod:`repro.serving`).  Returns
     the path written.
+
+    Provenance made stale by EGD merges (the ``ambiguous`` flag) is not
+    persisted: nothing reads it until a full re-chase rebuilds it.  Any
+    other provenance fact the instance does not hold is refused.
     """
     instance = materialized.instance
+    extras = extras or {}
+    maintained = _maintained_entries(materialized)
+    distinct = set()
+    for source in (materialized.edb, instance, *extras.values()):
+        for relation in source:
+            distinct.update(chain.from_iterable(relation))
+    for _, counts in maintained:
+        distinct.update(chain.from_iterable(counts))
+    values = sorted(distinct, key=value_sort_key)
+    rank = dict(zip(values, count()))
+    recorded = materialized._provenance
+    positions: Optional[Dict[str, Dict[Tuple, int]]] = \
+        None if recorded is None or materialized._ambiguous else {}
+    encoded_instance = _encode_instance(instance, rank, positions)
+    if recorded is None:
+        provenance = None
+    elif positions is None:
+        provenance = []  # stale after EGD merges
+    else:
+        provenance = _encode_provenance(recorded, positions)
+    del positions  # release the row -> position maps before encoding
     payload: Dict[str, Any] = {
         "config": {
             "engine": materialized.engine,
@@ -397,17 +408,17 @@ def save_program(materialized, path: PathLike,
         "ambiguous": materialized._ambiguous,
         "nulls": {"prefix": materialized._nulls.prefix,
                   "next_index": materialized._nulls.next_index},
-        "null_table": sorted(null.label for null in instance.nulls()),
+        "values": [encode_value(value) for value in values],
+        "null_table": _null_ranks(encoded_instance["rows"], values),
         "rules": {
             "tgds": [encode_rule(rule) for rule in materialized._tgds],
             "egds": [encode_rule(rule) for rule in materialized._egds],
             "constraints": [encode_rule(rule)
                             for rule in materialized._constraints],
         },
-        "edb": encode_instance(materialized.edb),
-        "instance": encode_instance(instance),
-        "provenance": (None if materialized._provenance is None
-                       else encode_provenance(materialized._provenance)),
+        "edb": _encode_instance(materialized.edb, rank),
+        "instance": encoded_instance,
+        "provenance": provenance,
         "result": {
             "steps": materialized.result.steps,
             "rounds": materialized.result.rounds,
@@ -415,9 +426,13 @@ def save_program(materialized, path: PathLike,
             "mode": materialized.result.mode,
         },
         "stats": materialized.stats.as_dict(),
-        "maintained": encode_maintained(materialized),
-        "extras": {name: encode_instance(extra)
-                   for name, extra in (extras or {}).items()},
+        "maintained": [
+            {"query": encode_query(cq),
+             "counts": sorted([*map(rank.__getitem__, row), support]
+                              for row, support in counts.items())}
+            for cq, counts in maintained],
+        "extras": {name: _encode_instance(extra, rank)
+                   for name, extra in extras.items()},
         "meta": meta or {},
     }
     payload_text = _canonical(payload)
@@ -465,10 +480,9 @@ def wal_position(meta: Optional[Dict[str, Any]], default: int = 0) -> int:
     ``{"wal": {"lsn": L, "segment": "wal-<L, 16 digits>.log"}}`` — the LSN
     the serialized state is exact at, and the name of the segment that
     starts there.  Recovery (primary or replica) restores the snapshot and
-    replays only WAL records with LSN > this cut.  Pre-segment snapshots
-    carried ``{"wal": {"lsn": L, "file": "wal.log"}}``; the LSN is read
-    the same way.  Returns ``default`` when the meta carries no usable
-    position (e.g. a snapshot saved outside the serving tier).
+    replays only WAL records with LSN > this cut.  Returns ``default``
+    when the meta carries no usable position (e.g. a snapshot saved
+    outside the serving tier).
     """
     position = (meta or {}).get("wal") or {}
     lsn = position.get("lsn", default)
@@ -619,7 +633,8 @@ def load_program(path: PathLike, program=None, engine: Optional[str] = None,
     if document is None:
         document = read_document(path)
     payload = document["payload"]
-    edb = decode_instance(payload["edb"])
+    values = list(map(decode_value, payload["values"]))
+    edb = _decode_instance(payload["edb"], values)
 
     if program is not None:
         _check_program(document, program, edb, path, check_data=check_data)
@@ -632,12 +647,13 @@ def load_program(path: PathLike, program=None, engine: Optional[str] = None,
         constraints = [decode_rule(rule)
                        for rule in payload["rules"]["constraints"]]
 
-    instance = decode_instance(payload["instance"])
+    instance_rows = payload["instance"]["rows"]
+    instance = _decode_instance(payload["instance"], values)
     if schema_hash(instance) != document["schema_hash"]:
         raise SnapshotIntegrityError(
             f"snapshot {path} fails its schema hash — the header does not "
             "match the payload; the file was tampered with or mis-assembled")
-    if sorted(null.label for null in instance.nulls()) != payload["null_table"]:
+    if _null_ranks(instance_rows, values) != payload["null_table"]:
         raise SnapshotIntegrityError(
             f"snapshot {path} is internally inconsistent: the labeled-null "
             "table does not match the nulls of the serialized instance; "
@@ -673,8 +689,13 @@ def load_program(path: PathLike, program=None, engine: Optional[str] = None,
         materialized._provenance = None
         materialized._dependents = {}
     else:
+        # Edges name instance rows by position: relations by name, rows in
+        # the order they were bulk-loaded.
+        facts = [(name, row) for name in sorted(instance_rows)
+                 for row in instance.relation(name)]
         provenance = _ProvenanceLog()
-        provenance.update(decode_provenance(payload["provenance"]))
+        provenance.update({facts[fact]: tuple(map(facts.__getitem__, body))
+                           for fact, *body in payload["provenance"]})
         materialized._provenance = provenance
         dependents: Dict[Fact, List[Fact]] = {}
         for derived, supports in provenance.items():
@@ -690,15 +711,18 @@ def load_program(path: PathLike, program=None, engine: Optional[str] = None,
         violations=[], engine=materialized.engine, stats=materialized.stats,
         provenance=materialized._provenance)
 
-    maintained = payload.get("maintained") or []
-    materialized._restored_maintained = \
-        decode_maintained(maintained) if maintained else None
+    materialized._restored_maintained = [
+        (decode_query(item["query"]),
+         {tuple(map(values.__getitem__, row[:-1])): row[-1]
+          for row in item["counts"]})
+        for item in payload["maintained"]] or None
     materialized.snapshot_meta = payload.get("meta") or {}
 
     materialized._write_lock = threading.RLock()
     materialized.versions = VersionStore()
-    materialized.versions.publish(materialized.version, instance, changed=None,
-                                  stats=materialized.stats)
+    # Not counted in the stats: this publication re-creates the saved
+    # version, so the restored counters stay exactly the saved ones.
+    materialized.versions.publish(materialized.version, instance, changed=None)
     return materialized
 
 
@@ -708,5 +732,7 @@ def load_extras(path: PathLike,
     """The named auxiliary instances stored alongside a snapshot."""
     if document is None:
         document = read_document(path)
-    return {name: decode_instance(encoded)
-            for name, encoded in document["payload"].get("extras", {}).items()}
+    payload = document["payload"]
+    values = list(map(decode_value, payload["values"]))
+    return {name: _decode_instance(encoded, values)
+            for name, encoded in payload.get("extras", {}).items()}

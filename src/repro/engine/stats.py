@@ -174,6 +174,14 @@ class ServingStats:
     reseeds: int = 0
     #: shipped-log poll rounds executed by a replica
     polls: int = 0
+    #: checkpoints completed (each one rotated the WAL to a fresh segment)
+    checkpoints: int = 0
+    #: wall milliseconds the last checkpoint held the writer lock, and the
+    #: sum over all of them
+    checkpoint_ms_last: float = 0.0
+    checkpoint_ms_total: float = 0.0
+    #: size of the snapshot file the last checkpoint wrote
+    snapshot_bytes_last: int = 0
 
     @classmethod
     def counter_names(cls) -> Tuple[str, ...]:

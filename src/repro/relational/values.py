@@ -265,13 +265,20 @@ def value_sort_key(value: Any) -> tuple:
     """A total order over mixed-type values (constants and nulls).
 
     Python refuses to compare, say, ``int`` with ``str``; benchmark and
-    report code nevertheless wants deterministic orderings of answer sets.
-    The key orders by (type bucket, textual form) which is stable and total.
+    report code, and the snapshot's canonical value dictionary, nevertheless
+    want deterministic orderings.  The key is a type bucket followed by the
+    value itself, compared natively within the bucket: numbers (``bool``
+    among them, consistent with ``True == 1``), then ``None``, then NaN,
+    then strings, then labeled nulls by label, then any other type by
+    name and ``repr``.  For numbers, ``None``, strings and nulls, two keys
+    are equal exactly when the values are (NaN, equal to nothing, aside).
     """
-    if isinstance(value, Null):
-        return (2, value.label)
-    if isinstance(value, bool):
-        return (1, f"b{int(value)}")
+    if isinstance(value, str):
+        return (3, value)
     if isinstance(value, (int, float)):
-        return (0, f"{float(value):030.10f}")
-    return (1, str(value))
+        return (0, value) if value == value else (2,)
+    if value is None:
+        return (1,)
+    if isinstance(value, Null):
+        return (4, value.label)
+    return (5, type(value).__name__, repr(value))

@@ -37,10 +37,6 @@ disk, unserializable value) is ordered save-first precisely so the
 previous snapshot and the live segment are untouched: the daemon keeps
 serving and retries at the next trigger.
 
-Pre-segment data directories (a single ``wal.log``) are migrated on
-recovery by :func:`migrate_legacy_wal` — a rename to the segment name the
-log's own header declares.
-
 :class:`CompactionPolicy` decides *when* to checkpoint: after every N
 records, or when the live segment outgrows a byte budget — whichever
 comes first.
@@ -48,20 +44,15 @@ comes first.
 
 from __future__ import annotations
 
-import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, List, Optional, Tuple, Union
 
-from ..engine.snapshot import fsync_directory
-from ..errors import WALCorruptionError
-from .wal import WriteAheadLog, maybe_crash, scan_wal
+from .wal import WriteAheadLog, maybe_crash
 
 PathLike = Union[str, Path]
 
-#: the pre-segment (single-file) WAL name; migrated on recovery
-LEGACY_WAL_NAME = "wal.log"
 ADDRESS_NAME = "daemon.json"
 _SNAPSHOT_RE = re.compile(r"^snapshot-(\d{16})\.snap$")
 _SEGMENT_RE = re.compile(r"^wal-(\d{16})\.log$")
@@ -118,27 +109,6 @@ def current_segment(data_dir: PathLike) -> Optional[Tuple[int, Path]]:
     """The live (highest-based) segment, or ``None`` when there is none."""
     segments = list_segments(data_dir)
     return segments[-1] if segments else None
-
-
-def migrate_legacy_wal(data_dir: PathLike) -> Optional[Path]:
-    """Rename a pre-segment ``wal.log`` to the segment name its own header
-    declares (``wal-<base lsn>.log``); returns the new path, or ``None``
-    when there is nothing to migrate.  The rename is atomic, so a crash
-    mid-migration leaves either layout — both recoverable."""
-    data_dir = Path(data_dir)
-    legacy = data_dir / LEGACY_WAL_NAME
-    if not legacy.exists():
-        return None
-    base_lsn = scan_wal(legacy).header["base_lsn"]
-    target = segment_path(data_dir, base_lsn)
-    if target.exists():
-        raise WALCorruptionError(
-            f"both the legacy {legacy.name} and the segment {target.name} "
-            "exist; they claim the same base LSN — move one of them away "
-            "before recovering")
-    os.replace(legacy, target)
-    fsync_directory(data_dir)
-    return target
 
 
 def prune_snapshots(data_dir: PathLike, keep: int) -> List[Path]:

@@ -66,7 +66,7 @@ from ..errors import (ArityError, AuthenticationError, DaemonShutdownError,
 from .admission import (UNAUTHENTICATED_OPS, AdmissionPolicy, Authenticator,
                         load_token)
 from .compaction import (CompactionPolicy, address_path, latest_snapshot,
-                         list_segments, migrate_legacy_wal, prune_snapshots,
+                         list_segments, prune_snapshots,
                          run_checkpoint, segment_path, snapshot_path)
 from .wal import (OP_ADD, OP_RETRACT, AppendedFrame, WALRecord, WriteAheadLog,
                   decode_facts, maybe_crash, maybe_stall, scan_wal)
@@ -479,8 +479,7 @@ class ServingDaemon:
         with self._lock:
             found = latest_snapshot(self.data_dir)
             if found is None:
-                if list_segments(self.data_dir) or \
-                        (self.data_dir / "wal.log").exists():
+                if list_segments(self.data_dir):
                     raise ServingError(
                         f"{self.data_dir} has write-ahead log segments but "
                         "no snapshot to replay them onto; restore a "
@@ -537,7 +536,6 @@ class ServingDaemon:
             "bootstrapped": False, "snapshot": path.name, "base_lsn": cut,
             "replayed_records": 0, "torn_tail": None, "truncated_bytes": 0,
         }
-        migrate_legacy_wal(self.data_dir)
         segments = list_segments(self.data_dir)
         if not segments:
             self._wal = WriteAheadLog.create(
@@ -899,9 +897,17 @@ class ServingDaemon:
                 prune_snapshots(self.data_dir, self.policy.keep_snapshots)
                 return {"checkpointed": False, "snapshot_lsn": self.last_lsn,
                         "reason": "no records since the last checkpoint"}
+            started = time.perf_counter()
             self._wal = run_checkpoint(
                 self.data_dir, self.backend.save, self._wal, self.last_lsn,
                 keep_snapshots=self.policy.keep_snapshots, sync=self.sync)
+            elapsed_ms = (time.perf_counter() - started) * 1e3
+            stats = self.serving_stats
+            stats.checkpoints += 1
+            stats.checkpoint_ms_last = elapsed_ms
+            stats.checkpoint_ms_total += elapsed_ms
+            stats.snapshot_bytes_last = \
+                snapshot_path(self.data_dir, self.last_lsn).stat().st_size
             self.records_since_checkpoint = 0
             self.last_checkpoint_error = None
             return {"checkpointed": True, "snapshot_lsn": self.last_lsn}

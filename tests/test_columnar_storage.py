@@ -96,7 +96,7 @@ def test_lazy_build_from_bulk_assigned_rows():
     column store must rebuild from them on first columnar access."""
     instance = DatabaseInstance()
     relation = instance.declare("S", ["a", "b"])
-    relation._rows = dict.fromkeys([("x", 1), ("y", 2)])  # decode_instance path
+    relation._rows = dict.fromkeys([("x", 1), ("y", 2)])  # bulk_load path
     store = relation.column_store()
     assert len(store) == 2
 

@@ -1,8 +1,15 @@
 """Tests for labeled nulls and the value helpers."""
 
 
+from hypothesis import given, settings, strategies as st
+
 from repro.relational.values import (Null, NullFactory, ground_values, is_ground, is_null,
                                      value_sort_key)
+
+#: every value type a relation stores (NaN aside: it equals nothing)
+numbers = st.one_of(st.integers(), st.floats(allow_nan=False), st.booleans())
+mixed_values = st.one_of(numbers, st.none(), st.text(max_size=6),
+                         st.builds(Null, st.text(min_size=1, max_size=4)))
 
 
 class TestNull:
@@ -70,3 +77,35 @@ class TestValueSortKey:
     def test_sorting_is_stable_and_deterministic(self):
         values = ["x", 2, Null("q")]
         assert sorted(values, key=value_sort_key) == sorted(values, key=value_sort_key)
+
+
+class TestValueSortKeyTotalOrder:
+    def test_former_ties_are_distinct(self):
+        for left, right in ((True, "b1"), (False, "b0"), (2 ** 53, 2 ** 53 + 1),
+                            (None, "None")):
+            assert value_sort_key(left) != value_sort_key(right)
+
+    def test_negatives_sort_numerically(self):
+        assert sorted([-5, -10, 3, -0.5], key=value_sort_key) == [-10, -5, -0.5, 3]
+
+    def test_buckets(self):
+        values = [Null("a"), "s", float("nan"), None, -1]
+        ordered = sorted(values, key=value_sort_key)
+        assert ordered[0] == -1 and ordered[1] is None
+        assert ordered[2] != ordered[2]  # NaN
+        assert ordered[3:] == ["s", Null("a")]
+
+    @settings(max_examples=500)
+    @given(mixed_values, mixed_values)
+    def test_keys_are_equal_exactly_when_values_are(self, left, right):
+        assert (value_sort_key(left) == value_sort_key(right)) == (left == right)
+
+    @settings(max_examples=500)
+    @given(numbers, numbers)
+    def test_numeric_order_agrees_with_less_than(self, left, right):
+        assert (value_sort_key(left) < value_sort_key(right)) == (left < right)
+
+    @given(st.lists(mixed_values, max_size=12))
+    def test_any_mix_sorts(self, values):
+        ordered = sorted(values, key=value_sort_key)
+        assert sorted(reversed(ordered), key=value_sort_key) == ordered

@@ -757,6 +757,30 @@ def test_segments_rotate_prune_and_replay_older_snapshots(tmp_path):
     recovered.stop()
 
 
+def test_stats_count_every_checkpoint(tmp_path):
+    """The ``stats`` op reports one checkpoint per WAL rotation, with the
+    size of the snapshot the last one wrote (counted, never timed)."""
+    data_dir = tmp_path / "data"
+    daemon = ServingDaemon(
+        ProgramBackend(parse_program(PROGRAM_TEXT)), data_dir,
+        policy=CompactionPolicy(checkpoint_every_records=4,
+                                max_wal_bytes=None, keep_snapshots=100))
+    daemon.recover()
+    for op, facts in _stream(random.Random(4300 + FAULT_SEED), steps=18):
+        daemon.apply_write(op, list(facts))
+    daemon.checkpoint()  # on demand: rotates once more
+    daemon.checkpoint()  # nothing new: no rotation, not counted
+    counters = daemon.handle({"op": "stats"})["result"]["serving"][
+        "group_commit"]
+    daemon.stop()
+    rotations = len(list_segments(data_dir)) - 1  # nothing was pruned
+    assert rotations == 18 // 4 + 1
+    assert counters["checkpoints"] == rotations
+    assert counters["snapshot_bytes_last"] == \
+        latest_snapshot(data_dir)[1].stat().st_size
+    assert counters["checkpoint_ms_total"] >= counters["checkpoint_ms_last"] > 0
+
+
 def test_rollback_fsyncs_even_without_sync(tmp_path, monkeypatch):
     """``rollback_to`` must fsync unconditionally: under ``--no-sync`` the
     truncate would otherwise live only in the OS cache, and a later crash

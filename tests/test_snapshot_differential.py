@@ -17,10 +17,12 @@ that kept running:
 
 Programs, update sequences and queries are the randomized families of
 ``test_session_differential``; everything runs on both engines.
+``REPRO_FAULT_SEED`` (CI matrix, seeds 0–2) shifts every seed.
 """
 
 from __future__ import annotations
 
+import os
 import random
 
 import pytest
@@ -36,6 +38,7 @@ from repro.workloads import (WorkloadSpec, generate_update_stream,
                              generate_workload)
 
 ENGINES = ("indexed", "naive")
+SEED_SHIFT = 1000 * int(os.environ.get("REPRO_FAULT_SEED", "0"))
 
 
 def _roundtrip(materialized: MaterializedProgram, tmp_path,
@@ -64,6 +67,7 @@ def _assert_step_equivalent(live: MaterializedProgram,
 def test_plain_restored_session_tracks_live_session(seed, engine, tmp_path):
     """Plain programs: restore mid-stream, then drive both sessions through
     the same continued update stream."""
+    seed += SEED_SHIFT
     program = differential._random_program(seed, existential=False)
     live = MaterializedProgram(program, engine=engine)
     rng = random.Random(4000 + seed)
@@ -90,6 +94,7 @@ def test_existential_restored_session_tracks_live_session(seed, engine,
                                                           tmp_path):
     """Labeled nulls in the snapshot: provenance-driven retraction keeps
     working after a restore."""
+    seed += SEED_SHIFT
     program = differential._random_program(seed, existential=True)
     live = MaterializedProgram(program, engine=engine)
     rng = random.Random(5000 + seed)
@@ -113,6 +118,7 @@ def test_existential_restored_session_tracks_live_session(seed, engine,
 def test_restore_without_program_reconstructs_rules(seed, tmp_path):
     """``load(path)`` with no program decodes the rules from the snapshot
     itself; the restored session still tracks the live one."""
+    seed += SEED_SHIFT
     program = differential._random_program(seed, existential=True)
     live = MaterializedProgram(program)
     restored = _roundtrip(live, tmp_path, with_program=False)
@@ -131,6 +137,7 @@ def test_restore_without_program_reconstructs_rules(seed, tmp_path):
 def test_egd_restored_session_tracks_live_session(seed, tmp_path):
     """EGD programs: merges, the ambiguity flag and the full-rechase
     fallback all survive the snapshot round-trip."""
+    seed += SEED_SHIFT
     program = differential._random_program(seed, existential=True)
     name, arity = sorted(program.predicate_arities().items())[-1]
     if arity < 2:
@@ -168,12 +175,13 @@ def test_workload_restored_session_tracks_live_session(engine, tmp_path):
     workload = generate_workload(WorkloadSpec(
         dimensions=2, depth=3, fanout=2, top_members=2, base_relations=1,
         tuples_per_relation=15, assessment_tuples=20, upward_rules=True,
-        downward_rules=True, seed=7))
+        downward_rules=True, seed=7 + SEED_SHIFT))
     program = workload.ontology.program()
     live = MaterializedProgram(program, engine=engine)
     restored = _roundtrip(live, tmp_path)
     for step in generate_update_stream(workload, steps=4, adds_per_step=2,
-                                       retracts_per_step=1, seed=7):
+                                       retracts_per_step=1,
+                                       seed=7 + SEED_SHIFT):
         for session in (live, restored):
             session.add_facts(step.adds)
             session.retract_facts(step.retracts)
@@ -191,6 +199,7 @@ def test_workload_restored_session_tracks_live_session(engine, tmp_path):
 def test_quality_session_restores_versions_and_assessments(seed, tmp_path):
     """A restored QualitySession reports identical quality versions and
     assessments at every step of the same update stream."""
+    seed += SEED_SHIFT
     workload = generate_workload(WorkloadSpec(
         dimensions=1, depth=3, fanout=2, top_members=2, base_relations=1,
         tuples_per_relation=15, assessment_tuples=25, upward_rules=True,
@@ -237,7 +246,7 @@ def test_quality_session_restores_after_non_assessment_updates(tmp_path):
     workload = generate_workload(WorkloadSpec(
         dimensions=1, depth=3, fanout=2, top_members=2, base_relations=1,
         tuples_per_relation=10, assessment_tuples=15, upward_rules=True,
-        seed=3))
+        seed=3 + SEED_SHIFT))
     live = workload.context.session(workload.assessment_instance)
     dimensional = next(
         relation.schema.name for relation in live.materialized.edb
