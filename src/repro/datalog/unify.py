@@ -98,8 +98,11 @@ def match_atom_against_row(atom: Atom, row: Sequence[Any],
     """Match ``atom`` against a stored fact row (one-way matching).
 
     Variables of the atom bind to row values; constants must equal the row
-    value; labeled nulls in the atom must equal the row value.  Returns the
-    extended substitution or ``None``.
+    value; labeled nulls in the atom must equal the row value.  Equal means
+    identical or ``==``, the semantics of the relations' value indexes and
+    of :func:`unify_terms` — so a NaN object matches itself here exactly
+    when an index probe for it finds the row.  Returns the extended
+    substitution or ``None``.
     """
     if len(row) != atom.arity:
         return None
@@ -109,7 +112,8 @@ def match_atom_against_row(atom: Atom, row: Sequence[Any],
         if isinstance(term, Variable):
             current[term] = to_term(value)
         else:
-            if term_value(term) != value:
+            expected = term_value(term)
+            if expected is not value and expected != value:
                 return None
     return current
 

@@ -29,6 +29,10 @@ between calls instead of re-running the chase per call:
   answers in place.  Only updates whose delta is unknowable (EGD merges,
   full re-chases) fall back to dropping the entry, mirroring the
   materialization's own full-rechase fallback.
+* Updates are **routed**: the session indexes its cached queries by body
+  predicate and bound constant, so a delta fact refreshes (or drops) only
+  the entries it can match — a point query on another constant is never
+  joined, whatever the number of cached queries.
 
 Every update and batch returns its own stats delta; the session objects
 accumulate lifetime totals, including cache hits/misses and the
@@ -41,6 +45,7 @@ from __future__ import annotations
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
@@ -51,6 +56,7 @@ from ..datalog.chase import ChaseEngine, ChaseResult, Fact, RESTRICTED
 from ..datalog.parser import parse_query
 from ..datalog.program import DatalogProgram
 from ..datalog.rules import ConjunctiveQuery
+from ..datalog.terms import Variable, term_value
 from ..datalog.unify import comparison_bindings
 from ..errors import UnknownRelationError
 from ..relational.instance import DatabaseInstance
@@ -142,23 +148,25 @@ class MaintainedAnswers:
     Entries are immutable once installed: maintenance builds a *fresh*
     entry and swaps it in under the version store's lock, stamped with the
     version it belongs to — a reader pinned at ``version >= stamp`` may
-    serve from the entry, because any later update touching the query's
-    predicates would have replaced (or dropped) it.  The compiled
-    :class:`~repro.engine.matching.DeltaJoinPlan` is carried across swaps
-    so repeated updates replay the same hoisted pivot plans, and the sorted
+    serve from the entry, because any later update whose delta reaches the
+    query (see :class:`_RoutingIndex`) would have replaced (or dropped) it,
+    and an update reaching no body atom cannot move its counts.  The
+    compiled :class:`~repro.engine.matching.DeltaJoinPlan` and the query
+    text ``key`` are carried across swaps so repeated updates replay the
+    same hoisted pivot plans and never re-render the query, and the sorted
     answer rows are carried *patched* (:meth:`_patch_rows`): only the rows
     whose support crossed zero move, so an update never pays a full
     key-building sort over a large cached answer set.
     """
 
-    __slots__ = ("cq", "key", "predicates", "counts", "version", "plan",
-                 "_rows", "last_used")
+    __slots__ = ("cq", "key", "counts", "version", "plan", "_rows",
+                 "last_used")
 
     def __init__(self, cq: ConjunctiveQuery, counts: AnswerCounts,
-                 version: int, plan: Optional[DeltaJoinPlan] = None):
+                 version: int, plan: Optional[DeltaJoinPlan] = None,
+                 key: Optional[str] = None):
         self.cq = cq
-        self.key = str(cq)
-        self.predicates = cq.body_predicates()
+        self.key = str(cq) if key is None else key
         self.counts = counts
         self.version = version
         self.plan = plan
@@ -220,8 +228,12 @@ class MaintainedAnswers:
                     continue  # never listed among the certain answers
                 at = bisect_left(new_keys, key)
                 if gone:  # distinct rows may share a key: find this one
-                    while new_rows[at] != row:
+                    while at < len(new_rows) and new_rows[at] != row:
                         at += 1
+                    if at == len(new_rows):
+                        # listed as an equal row of other types (``1`` for
+                        # ``1.0``), which sorts under another key
+                        at = new_rows.index(row)
                     del new_rows[at], new_keys[at]
                 else:
                     new_keys.insert(at, key)
@@ -231,6 +243,134 @@ class MaintainedAnswers:
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"MaintainedAnswers({self.key!r}, {len(self.counts)} rows, "
                 f"v{self.version})")
+
+
+#: the constants of one body atom past its first: ``(position, value)``
+_Checks = Tuple[Tuple[int, Any], ...]
+
+
+class _RoutingIndex:
+    """Which cached queries an update's fact delta can reach.
+
+    The constant tests of a Rete alpha network, applied to cached answers.
+    Each filed query key sits under every predicate of its body
+    (:meth:`under`) and, per body atom, once more for :meth:`reached`: an
+    atom without constants under its predicate alone, any other atom
+    under ``(predicate, position, value)`` of its first constant (labeled
+    nulls in a query count as constants), its further constants kept as
+    checks run on a hit.  A fact reaches a query iff it agrees with one of
+    the query's atoms on every constant position; a query no delta fact
+    reaches has no homomorphism using a delta fact, so its answers did not
+    move.
+
+    Values are found by dict lookup and checked by identity-or-equality,
+    the semantics of the matchers' value indexes (``1``/``1.0``/``True``
+    collide, a NaN matches only itself, nulls compare by label): a row
+    value reaches a constant whenever any engine could match the two.
+    The owning session mutates and reads the index under the version
+    store's lock only.
+    """
+
+    def __init__(self):
+        self._queries: Dict[str, ConjunctiveQuery] = {}
+        #: predicate -> keys with any body atom over it
+        self._under: Dict[str, Set[str]] = {}
+        #: predicate -> keys with a constant-free body atom over it
+        self._unbound: Dict[str, Set[str]] = {}
+        #: predicate -> position -> value -> key -> one check tuple per atom
+        self._bound: Dict[str, Dict[int, Dict[Any, Dict[str, List[_Checks]]]]] = {}
+
+    @staticmethod
+    def _atoms(cq: ConjunctiveQuery):
+        for atom in cq.body:
+            yield atom.predicate, [(position, term_value(term))
+                                   for position, term in enumerate(atom.terms)
+                                   if not isinstance(term, Variable)]
+
+    def __iter__(self):
+        return iter(self._queries)
+
+    def add(self, key: str, cq: ConjunctiveQuery) -> None:
+        """File ``cq`` under ``key`` (a no-op when ``key`` is filed)."""
+        if key in self._queries:
+            return
+        self._queries[key] = cq
+        for predicate, constants in self._atoms(cq):
+            self._under.setdefault(predicate, set()).add(key)
+            if not constants:
+                self._unbound.setdefault(predicate, set()).add(key)
+                continue
+            (position, value), checks = constants[0], tuple(constants[1:])
+            self._bound.setdefault(predicate, {}).setdefault(position, {}) \
+                .setdefault(value, {}).setdefault(key, []).append(checks)
+
+    def discard(self, key: str) -> None:
+        cq = self._queries.pop(key, None)
+        if cq is None:
+            return
+        for predicate, constants in self._atoms(cq):
+            _discard_key(self._under, predicate, key)
+            if not constants:
+                _discard_key(self._unbound, predicate, key)
+                continue
+            position, value = constants[0]
+            positions = self._bound.get(predicate, {})
+            values = positions.get(position, {})
+            slot = values.get(value)
+            if slot is None:  # an earlier atom of the query emptied it
+                continue
+            slot.pop(key, None)
+            if not slot:
+                del values[value]
+                if not values:
+                    del positions[position]
+                    if not positions:
+                        del self._bound[predicate]
+
+    def clear(self) -> None:
+        for index in (self._queries, self._under, self._unbound, self._bound):
+            index.clear()
+
+    def under(self, predicates: Iterable[str]) -> Set[str]:
+        """Keys with a body atom over any of ``predicates``."""
+        under = self._under
+        return set().union(*[under[predicate] for predicate in predicates
+                             if predicate in under])
+
+    def reached(self, facts: Iterable[Fact]) -> Set[str]:
+        """Keys with a body atom some fact of ``facts`` agrees with on
+        every constant position."""
+        hit: Set[str] = set()
+        unbound, bound = self._unbound, self._bound
+        for predicate, row in facts:
+            keys = unbound.get(predicate)
+            if keys:
+                hit |= keys
+            positions = bound.get(predicate)
+            if positions is None:
+                continue
+            width = len(row)
+            for position, values in positions.items():
+                slot = values.get(row[position]) if position < width else None
+                if not slot:
+                    continue
+                for key, atoms in slot.items():
+                    if key not in hit and any(
+                            all(at < width and (row[at] is value
+                                                or row[at] == value)
+                                for at, value in checks)
+                            for checks in atoms):
+                        hit.add(key)
+        return hit
+
+
+def _discard_key(index: Dict[str, Set[str]], predicate: str,
+                 key: str) -> None:
+    keys = index.get(predicate)
+    if keys is not None:
+        keys.discard(key)
+        if not keys:
+            del index[predicate]
 
 
 @dataclass
@@ -661,9 +801,12 @@ class QuerySession:
       maintenance is disabled (``maintain_answers=False`` restores the
       predicate-invalidation behaviour, e.g. for baselines).
 
-    Plans and plain answers stay valid across updates whose
-    ``changed_predicates`` are disjoint from the query's body predicates;
-    an update with unknown impact (EGD merges) drops everything.
+    An update refreshes or drops only the answer entries its fact delta
+    can reach, found through a routing index over the cached queries'
+    body predicates and bound constants (:class:`_RoutingIndex`); plans
+    drop per changed body predicate.  An update whose delta is unknown
+    falls back to dropping every entry under a changed predicate, and one
+    with unknown impact (EGD merges) drops everything.
     """
 
     def __init__(self, materialized: Union[MaterializedProgram, DatalogProgram],
@@ -692,12 +835,17 @@ class QuerySession:
         self._plans: Dict[str, Tuple[ConjunctiveQuery, List[Atom]]] = {}
         #: answer cache entries are (query, version-stamp, answers): an entry
         #: is valid for every reader at version >= its stamp, because the
-        #: owning program would have invalidated it had a later update
-        #: touched its predicates
+        #: owning program would have invalidated it had a later update's
+        #: delta reached the query
         self._answers: Dict[Tuple[str, bool],
                             Tuple[ConjunctiveQuery, int, Answers]] = {}
         #: maintained support counts per query text (same validity rule)
         self._maintained: Dict[str, MaintainedAnswers] = {}
+        #: routes update deltas to the query texts of ``_maintained`` /
+        #: ``_answers`` entries, and changed predicates to ``_plans`` keys;
+        #: both move with their caches, under the version store's lock
+        self._routes = _RoutingIndex()
+        self._plan_routes = _RoutingIndex()
         self._ws_solver = None
         self._ws_version: Optional[Tuple[int, Optional[int]]] = None
         materialized._sessions.append(self)
@@ -717,10 +865,12 @@ class QuerySession:
             return
         self.materialized._restored_maintained = None
         version = self.materialized.version
-        for cq, counts in restored:
-            entry = MaintainedAnswers(cq, counts, version)
-            self._maintained[entry.key] = entry
-            self._parsed.setdefault(entry.key, cq)
+        with self.materialized.versions.lock:
+            for cq, counts in restored:
+                entry = MaintainedAnswers(cq, counts, version)
+                self._maintained[entry.key] = entry
+                self._routes.add(entry.key, cq)
+                self._parsed.setdefault(entry.key, cq)
 
     # -- caches -------------------------------------------------------------
 
@@ -756,7 +906,9 @@ class QuerySession:
                                           bound=bound)
         else:
             plan = self._matcher.plan(cq.body, instance, bound=bound)
-        self._plans[key] = (cq, plan)
+        with self.materialized.versions.lock:  # where the routes move
+            self._plans[key] = (cq, plan)
+            self._plan_routes.add(key, cq)
         return plan
 
     def _maintain_answers(self, update: UpdateResult,
@@ -768,31 +920,41 @@ class QuerySession:
         Runs on the writer thread *before* the store lock is taken — the
         delta joins must not stall readers; ``_note_update`` installs the
         returned fresh entries under the lock, atomically with the
-        publication of ``version``.  Counting maintenance: homomorphisms
-        lost are enumerated by pivoting the removed facts against
-        ``previous`` (the last published version, where they still exist),
-        homomorphisms gained by pivoting the added facts against
+        publication of ``version``.  Only the entries the delta reaches
+        are joined (the routing index is read under the lock for a moment,
+        since readers file new entries in it); an entry under a changed
+        predicate that no delta fact reaches keeps its counts and is
+        counted in ``stats.answers_unreached``.  Counting maintenance:
+        homomorphisms lost are enumerated by pivoting the removed facts
+        against ``previous`` (the last published version, where they still
+        exist), homomorphisms gained by pivoting the added facts against
         ``working`` (the post-update instance); each one moves its
         projected answer row's support count by ±1.  Facts retracted and
         re-derived within one update net out exactly.  An update whose
         delta is unknown (EGD merges, no provenance) cannot be maintained:
-        the entry is left for ``_note_update`` to drop, and the fallback is
-        counted in ``stats.maintenance_fallbacks``.
+        every entry under a changed predicate is left for ``_note_update``
+        to drop, and each fallback is counted in
+        ``stats.maintenance_fallbacks``.
         """
         if not self.maintain_answers or not self._maintained:
             return []
         changed = update.changed_predicates
         if changed is not None and not changed:
             return []
-        ambiguous = changed is None or update.added_facts is None or \
-            update.removed_facts is None
+        with self.materialized.versions.lock:
+            if changed is None:
+                self.stats.maintenance_fallbacks += len(self._maintained)
+                return []
+            under = self._maintained.keys() & self._routes.under(changed)
+            if update.added_facts is None or update.removed_facts is None:
+                self.stats.maintenance_fallbacks += len(under)
+                return []
+            reached = self._routes.reached(
+                chain(update.removed_facts, update.added_facts))
+            entries = [self._maintained[key] for key in under & reached]
+        self.stats.answers_unreached += len(under) - len(entries)
         refreshed: List[MaintainedAnswers] = []
-        for entry in list(self._maintained.values()):
-            if changed is not None and not (entry.predicates & changed):
-                continue  # untouched: the published entry stays valid
-            if ambiguous:
-                self.stats.maintenance_fallbacks += 1
-                continue
+        for entry in entries:
             cq = entry.cq
             plan = entry.plan
             if plan is None:
@@ -831,7 +993,7 @@ class QuerySession:
                 if support == 0:
                     appeared[row] = None
                 counts[row] = support + gained
-            fresh = MaintainedAnswers(cq, counts, version, plan)
+            fresh = MaintainedAnswers(cq, counts, version, plan, entry.key)
             fresh.last_used = entry.last_used  # maintenance is not a *use*
             fresh._patch_rows(entry, vanished, list(appeared))
             fresh.rows()  # warm the certain flavour outside the lock
@@ -844,36 +1006,43 @@ class QuerySession:
         """Swap in maintained answers; invalidate what could not be kept.
 
         Called under the version store's lock, atomically with the
-        publication of the new version.  Every cache entry the update may
-        have touched is dropped, then the entries ``_maintain_answers``
-        refreshed are installed in their place.  Updates whose delta is
-        empty (``changed_predicates == set()``, e.g. inserting a fact that
-        already existed as a derived fact) touch nothing and invalidate
-        nothing — cached answers keep hitting.
+        publication of the new version.  Every answer entry the update's
+        delta reaches is dropped — re-routed here, under the lock, so an
+        entry a reader filed after ``_maintain_answers`` ran is caught too —
+        then the entries ``_maintain_answers`` refreshed are installed in
+        their place.  Plans drop per changed body predicate.  A delta that
+        is unknown drops every entry under a changed predicate, unknown
+        impact (``changed_predicates is None``) everything.  Updates whose
+        delta is empty (``changed_predicates == set()``, e.g. inserting a
+        fact that already existed as a derived fact) touch nothing and
+        invalidate nothing — cached answers keep hitting.
         """
-        if update.changed_predicates is not None and \
-                not update.changed_predicates:
+        changed = update.changed_predicates
+        if changed is not None and not changed:
             return
-
-        def touched(cq: ConjunctiveQuery) -> bool:
-            return update.changed_predicates is None or any(
-                atom.predicate in update.changed_predicates for atom in cq.body)
-
-        # The sweeps iterate atomic snapshots (single C-level list() calls):
-        # the plan cache is populated by readers without the store lock, so
-        # a Python-level loop over the live dict could observe a concurrent
-        # insert mid-iteration.
-        for key in [key for key, (cq, _) in list(self._plans.items())
-                    if touched(cq)]:
-            self._plans.pop(key, None)
-        for key in [key for key, (cq, _, _) in list(self._answers.items())
-                    if touched(cq)]:
-            self._answers.pop(key, None)
-        for key in [key for key, entry in list(self._maintained.items())
-                    if touched(entry.cq)]:
+        if changed is None:
+            self._plans.clear()
+            self._plan_routes.clear()
+            dropped = set(self._routes)
+        else:
+            for key in self._plan_routes.under(changed):
+                self._plans.pop(key, None)
+                self._plan_routes.discard(key)
+            if update.added_facts is None or update.removed_facts is None:
+                dropped = self._routes.under(changed)
+            else:
+                dropped = self._routes.reached(
+                    chain(update.removed_facts, update.added_facts))
+        for key in dropped:
             self._maintained.pop(key, None)
+            self._answers.pop((key, False), None)
+            self._answers.pop((key, True), None)
         for entry in refreshed:
             self._maintained[entry.key] = entry
+            self._routes.add(entry.key, entry.cq)
+        for key in dropped:
+            if key not in self._maintained:
+                self._routes.discard(key)
         self._evict_support()
 
     def _touch_entry(self, entry: MaintainedAnswers) -> None:
@@ -899,6 +1068,9 @@ class QuerySession:
             victim = min(self._maintained.values(),
                          key=lambda entry: entry.last_used)
             self._maintained.pop(victim.key, None)
+            # a maintaining session never fills _answers: nothing else
+            # keeps the key filed
+            self._routes.discard(victim.key)
             total -= len(victim.counts)
             self.stats.support_evictions += 1
 
@@ -959,15 +1131,18 @@ class QuerySession:
                 if self.maintain_answers:
                     existing = self._maintained.get(key)
                     if existing is None or existing.version <= pinned.version:
-                        fresh = MaintainedAnswers(cq, counts, pinned.version)
+                        fresh = MaintainedAnswers(cq, counts, pinned.version,
+                                                  key=key)
                         fresh._seed_rows(allow_nulls, result)
                         self._touch_entry(fresh)
                         self._maintained[key] = fresh
+                        self._routes.add(key, cq)
                         self._evict_support()
                 else:
                     previous = self._answers.get(cache_key)
                     if previous is None or previous[1] <= pinned.version:
                         self._answers[cache_key] = (cq, pinned.version, result)
+                        self._routes.add(key, cq)
         return result
 
     def holds(self, query: QueryLike) -> bool:

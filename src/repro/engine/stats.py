@@ -57,6 +57,10 @@ class EngineStats:
     #: maintain (EGD merges, full re-chases, missing fact deltas) — the next
     #: read re-answers from scratch
     maintenance_fallbacks: int = 0
+    #: maintained answer sets under a changed predicate that no fact of the
+    #: update's delta reached (constant tests ruled every fact out): kept
+    #: as they were, with no delta join run
+    answers_unreached: int = 0
     #: batch probe steps executed by the columnar engine (one per body atom
     #: per set-at-a-time join, instead of one probe per candidate row)
     batch_joins: int = 0

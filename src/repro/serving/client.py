@@ -44,6 +44,7 @@ wire.
 from __future__ import annotations
 
 import json
+import os
 import random
 import socket
 import time
@@ -71,6 +72,31 @@ _TYPED_REMOTE_ERRORS = {
     "AuthenticationError": AuthenticationError,
     "DaemonShutdownError": DaemonShutdownError,
 }
+
+
+def _process_gone(pid: Any) -> bool:
+    """``True`` once the process ``pid`` has exited.
+
+    A zombie counts as gone: a daemon that crashed as an unreaped child of
+    this process still answers ``os.kill(pid, 0)`` until it is waited for,
+    so ``/proc/<pid>/stat`` (state ``Z``) is read where it exists.
+    Anything unknowable — no pid recorded, someone else's process — is
+    treated as alive.
+    """
+    if not isinstance(pid, int) or pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except OSError:
+        return False
+    try:
+        with open(f"/proc/{pid}/stat", "rb") as handle:
+            stat = handle.read()
+    except OSError:
+        return False
+    return stat[stat.rfind(b")") + 2:][:1] == b"Z"
 
 
 def read_address(data_dir: PathLike) -> Dict[str, Any]:
@@ -204,9 +230,14 @@ class ServingClient:
                 **client_options: Any) -> "ServingClient":
         """Connect to the daemon serving ``data_dir``, waiting up to
         ``wait`` seconds for it to advertise itself (covers the race with a
-        freshly spawned daemon process — including a stale ``daemon.json``
-        left by a dead daemon whose port now refuses connections).
-        ``replica_dir`` waits for and attaches the replica advertised
+        freshly spawned daemon process binding its port).  An advertised
+        daemon that refuses connections fails fast with
+        :class:`~repro.errors.DaemonUnavailableError` once the ``pid`` its
+        ``daemon.json`` records has exited (zombies included), instead of
+        re-dialing the dead port until the deadline — so a supervisor that
+        respawns a daemon on the same data directory unlinks the dead
+        one's ``daemon.json`` first, and clients then wait for the new
+        one.  ``replica_dir`` waits for and attaches the replica advertised
         there as well; extra keyword arguments (``connect_timeout``,
         ``busy_retries``, ...) pass through to the constructor."""
         deadline = time.monotonic() + wait
@@ -222,9 +253,11 @@ class ServingClient:
 
         while True:
             address = _await_address(data_dir)
+            advertised = [address]
             replica = None
             if replica_dir is not None:
                 found = _await_address(replica_dir)
+                advertised.append(found)
                 replica = (found["host"], found["port"])
             try:
                 return cls(address["host"], address["port"], timeout=timeout,
@@ -232,8 +265,10 @@ class ServingClient:
                            auth_token=auth_token, **client_options)
             except DaemonUnavailableError:
                 # Advertised but not answering: either we raced the bind
-                # or the file is stale.  Keep trying until the deadline.
-                if time.monotonic() >= deadline:
+                # or the file is stale.  A dead advertiser settles it;
+                # otherwise keep trying until the deadline.
+                if time.monotonic() >= deadline or any(
+                        _process_gone(each.get("pid")) for each in advertised):
                     raise
                 time.sleep(0.05)
 

@@ -472,3 +472,49 @@ def test_stale_daemon_json_fails_promptly(tmp_path):
     elapsed = time.monotonic() - start
     assert elapsed < refusal_budget, \
         f"a dead advertised port took {elapsed:.1f}s to refuse"
+
+
+def _advertise_dead_daemon(data_dir: Path, pid: int) -> None:
+    probe = socket.socket()
+    probe.bind(("127.0.0.1", 0))
+    dead_port = probe.getsockname()[1]
+    probe.close()
+    (data_dir / "daemon.json").write_text(
+        f'{{"host": "127.0.0.1", "port": {dead_port}, "pid": {pid}}}',
+        encoding="utf-8")
+
+
+def _assert_connect_fails_fast(data_dir: Path) -> None:
+    # The wait budget is 30 s, the one writers use after an injected crash;
+    # the refusal must come from the dead pid, far inside it.
+    refusal_budget = max(10.0, 30.0 / 3)
+    start = time.monotonic()
+    with pytest.raises(DaemonUnavailableError):
+        ServingClient.connect(data_dir, wait=30.0)
+    elapsed = time.monotonic() - start
+    assert elapsed < refusal_budget, \
+        f"an exited daemon's address took {elapsed:.1f}s to refuse"
+
+
+def test_connect_fails_fast_once_the_advertised_pid_is_gone(tmp_path):
+    """daemon.json records the daemon's pid: once that process has exited
+    (and been reaped), connect stops re-dialing its dead port."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    child.wait()
+    _advertise_dead_daemon(tmp_path, child.pid)
+    _assert_connect_fails_fast(tmp_path)
+
+
+@pytest.mark.skipif(not hasattr(os, "waitid") or
+                    not os.path.exists("/proc/self/stat"),
+                    reason="needs waitid(WNOWAIT) and procfs")
+def test_connect_fails_fast_on_an_unreaped_crashed_daemon(tmp_path):
+    """A daemon that crashed as our own child is a zombie until we wait for
+    it — os.kill(pid, 0) still succeeds — and must count as gone."""
+    child = subprocess.Popen([sys.executable, "-c", "pass"])
+    try:
+        os.waitid(os.P_PID, child.pid, os.WEXITED | os.WNOWAIT)  # exit, unreaped
+        _advertise_dead_daemon(tmp_path, child.pid)
+        _assert_connect_fails_fast(tmp_path)
+    finally:
+        child.wait()
