@@ -8,25 +8,22 @@ retractions) two ways:
 * **incremental** — ``add_facts``/``retract_facts`` re-enter the
   delta-driven chase seeded with the changed facts, then the query batch is
   re-answered through a :class:`~repro.engine.session.QuerySession` (cached
-  parses and join plans; answers invalidated per touched predicate);
+  parses and join plans; answers maintained by the update's fact delta);
 * **full** — the status-quo path: apply the update to the EDB, re-chase the
   whole program from scratch, evaluate the same queries.
 
 Both paths must produce identical answers after every step and identical
-ground facts at the end; the per-step timing trajectory is written to
-``BENCH_incremental.json``.  The motivating claim: at the largest size the
-incremental path must be at least 5× faster per update step.
+ground facts at the end, and the stream must never force a full re-chase.
+The cost of an update is measured by ``bench/run.py --workload
+session-update`` (paired runs), not here.
 
-Setting ``REPRO_BENCH_SMOKE=1`` shrinks the sweep to seconds (tiny sizes,
-no 5× gate, no artifact write) so CI can exercise this code on every push.
+Setting ``REPRO_BENCH_SMOKE=1`` shrinks the sweep to seconds (tiny sizes)
+so CI can exercise this code on every push.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from pathlib import Path
 
 from repro.datalog import chase
 from repro.datalog.answering import certain_answers
@@ -35,12 +32,9 @@ from repro.relational.values import Null
 from repro.workloads import (WorkloadSpec, generate_update_stream,
                              generate_workload)
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_incremental.json"
-
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 SIZES = (20, 40) if SMOKE else (100, 200, 400, 800)
 STEPS = 3 if SMOKE else 8
-MIN_SPEEDUP = 0.0 if SMOKE else 5.0
 
 
 def _ground_facts(instance):
@@ -52,126 +46,60 @@ def _ground_facts(instance):
     }
 
 
-def _run_one_size(size: int):
+def _run_one_size(size: int) -> MaterializedProgram:
     workload = generate_workload(WorkloadSpec(
         dimensions=1, depth=3, fanout=3, top_members=2, base_relations=1,
         upward_rules=True, downward_rules=False, seed=13,
         tuples_per_relation=size))
     program = workload.ontology.program()
-    # The generated batch is point queries (the session-serving hot path the
-    # 5x gate measures) plus one full scan of the rolled-up relation — whose
-    # cost is pure answer enumeration, paid identically by both paths; it
-    # stays in the differential check and is timed separately for context.
-    point_queries, scan_query = workload.queries[:-1], workload.queries[-1]
-    all_queries = workload.queries
+    queries = workload.queries
     stream = generate_update_stream(workload, steps=STEPS, adds_per_step=3,
                                     retracts_per_step=2, seed=7)
 
     # Incremental path: one materialization absorbing the whole stream.
     materialized = MaterializedProgram(program)
     session = QuerySession(materialized)
-    session.answer_many(all_queries)  # warm caches (the session posture)
+    session.answer_many(queries)  # warm caches (the session posture)
     incremental_answers = []
-    incremental_seconds = 0.0
-    scan_seconds = 0.0
     for step in stream:
-        start = time.perf_counter()
         materialized.add_facts(step.adds)
         materialized.retract_facts(step.retracts)
-        point_answers = session.answer_many(point_queries).answers
-        incremental_seconds += time.perf_counter() - start
-        start = time.perf_counter()
-        scan_answers = session.answers(scan_query)
-        scan_seconds += time.perf_counter() - start
-        incremental_answers.append(point_answers + [scan_answers])
-    incremental_seconds /= len(stream)
-    scan_seconds /= len(stream)
+        incremental_answers.append(session.answer_many(queries).answers)
 
     # Full path: the status quo — re-chase from scratch after every step.
     full_program = program.copy()
     full_answers = []
-    full_seconds = 0.0
     for step in stream:
-        start = time.perf_counter()
         for predicate, row in step.adds:
             full_program.database.add(predicate, row)
         for predicate, row in step.retracts:
             full_program.database.relation(predicate).discard(row)
         result = chase(full_program, check_constraints=False)
-        step_answers = [certain_answers(full_program, query, chase_result=result)
-                        for query in point_queries]
-        full_seconds += time.perf_counter() - start
-        step_answers.append(
-            certain_answers(full_program, scan_query, chase_result=result))
-        full_answers.append(step_answers)
-    full_seconds /= len(stream)
+        full_answers.append([certain_answers(full_program, query,
+                                             chase_result=result)
+                             for query in queries])
 
-    # Differential: identical answers (point + scan) after every step,
-    # identical ground facts at the end of the stream.
+    # Differential: identical answers after every step, identical ground
+    # facts at the end of the stream.
     assert incremental_answers == full_answers
     final = chase(materialized.edb_program(), check_constraints=False)
     assert _ground_facts(final.instance) == _ground_facts(materialized.instance)
-
-    stats = materialized.stats
-    return {
-        "tuples_per_relation": size,
-        "extensional_facts": workload.total_facts(),
-        "point_queries": len(point_queries),
-        "update_steps": len(stream),
-        "incremental_seconds_per_step": round(incremental_seconds, 6),
-        "full_seconds_per_step": round(full_seconds, 6),
-        "scan_query_seconds_per_step": round(scan_seconds, 6),
-        "speedup": round(full_seconds / incremental_seconds, 2)
-        if incremental_seconds > 0 else float("inf"),
-        "incremental_updates": stats.incremental_updates,
-        "full_rechases": stats.full_rechases,
-        "session_stats": stats.as_dict(),
-        "query_cache": {"hits": session.stats.cache_hits,
-                        "misses": session.stats.cache_misses},
-    }
+    return materialized
 
 
 def test_incremental_updates_beat_full_rechase():
-    """Incremental ≡ full at every size; ≥5× faster at the largest; emits JSON."""
-    trajectory = [_run_one_size(size) for size in SIZES]
-
-    largest = trajectory[-1]
-    assert largest["full_rechases"] == 0, \
-        "the update stream should never force a full re-chase on this workload"
-    if MIN_SPEEDUP:
-        assert largest["speedup"] >= MIN_SPEEDUP, (
-            f"incremental update+requery only {largest['speedup']}x faster than "
-            f"full re-chase at the largest size; trajectory: {trajectory}")
-
-    if SMOKE:
-        return  # tiny sizes would pollute the recorded trajectory
-
-    history = []
-    if ARTIFACT.exists():
-        try:
-            history = json.loads(ARTIFACT.read_text(encoding="utf-8")).get("runs", [])
-        except (json.JSONDecodeError, AttributeError):
-            history = []
-    run_record = {
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "trajectory": trajectory,
-    }
-    history = (history + [run_record])[-20:]
-    ARTIFACT.write_text(json.dumps({
-        "experiment": "E12-incremental-updates",
-        "workload": {"dimensions": 1, "depth": 3, "fanout": 3,
-                     "upward_rules": True, "seed": 13,
-                     "adds_per_step": 3, "retracts_per_step": 2},
-        "sizes": list(SIZES),
-        "trajectory": trajectory,
-        "runs": history,
-    }, indent=2) + "\n", encoding="utf-8")
-    assert ARTIFACT.exists()
+    """Incremental ≡ full at every size, with no full re-chase."""
+    for size in SIZES:
+        materialized = _run_one_size(size)
+        assert materialized.stats.full_rechases == 0, \
+            "the update stream should never force a full re-chase on this workload"
+        assert materialized.stats.incremental_updates >= STEPS
 
 
 def test_quality_session_reassesses_only_touched_relations():
-    """After an update, only dirty relations are re-assessed — and the
-    incremental assessment equals a from-scratch one."""
+    """After the first assessment, updates move the counts by their delta:
+    no relation is recounted — and the maintained assessment equals a
+    from-scratch one."""
     workload = generate_workload(WorkloadSpec(
         dimensions=1, depth=3, fanout=3, top_members=2, base_relations=1,
         upward_rules=True, seed=13,
@@ -183,6 +111,7 @@ def test_quality_session_reassesses_only_touched_relations():
     stream = generate_update_stream(workload, steps=3, adds_per_step=2,
                                     retracts_per_step=1, seed=11,
                                     target="assessment")
+    before = session.stats.snapshot()
     for step in stream:
         for predicate, row in step.adds:
             update = session.add_facts(predicate, [row])
@@ -190,14 +119,11 @@ def test_quality_session_reassesses_only_touched_relations():
         for predicate, row in step.retracts:
             session.retract_facts(predicate, [row])
 
-    before = session.stats.snapshot()
     incremental = session.assess()
-    assert session.stats.delta(before).cache_misses >= 1  # Readings was dirty
-    # Re-assessing with nothing dirty is pure cache hits.
-    before = session.stats.snapshot()
-    session.assess()
     delta = session.stats.delta(before)
+    assert delta.answers_maintained >= 1  # Readings' counts moved by delta
     assert delta.cache_misses == 0 and delta.cache_hits >= 1
+    assert delta.maintenance_fallbacks == 0
 
     from repro.quality import assess_database
     fresh_versions = workload.context.quality_versions_for(session.instance)

@@ -62,7 +62,7 @@ def main() -> None:
     ])
     print(f"  strategy: {update.strategy}, triggers fired: {update.steps}, "
           f"touched: {sorted(update.changed_predicates or [])}")
-    print("  re-assessment (only touched relations recomputed):")
+    print("  re-assessment (counts moved by the update's delta):")
     print("  " + str(scenario.assess()).replace("\n", "\n  "))
     session = scenario.session()
     print(f"  session caches: {session.stats.cache_hits} hits / "

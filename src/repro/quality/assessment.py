@@ -130,30 +130,17 @@ def assess_relation(original: Relation, quality: Relation,
 
 
 def assess_database(instance: DatabaseInstance,
-                    quality_versions: Mapping[str, Relation],
-                    previous: Optional[DatabaseAssessment] = None,
-                    changed: Optional[Mapping] = None) -> DatabaseAssessment:
+                    quality_versions: Mapping[str, Relation]) -> DatabaseAssessment:
     """Assess every relation of ``instance`` that has a quality version.
 
-    With ``previous`` (an earlier assessment of the same instance) and
-    ``changed`` (the relation names an update touched — e.g. an
-    :class:`~repro.engine.session.UpdateResult`'s ``changed_predicates``),
-    untouched relations reuse their previous
-    :class:`RelationAssessment` instead of re-comparing tuple sets; this is
-    the partial re-assessment the quality sessions run after an incremental
-    update.  ``changed=None`` together with ``previous`` means "nothing is
-    known" and re-assesses everything.
+    The one-shot, set-based assessment — and the oracle the counts a
+    :class:`~repro.quality.session.QualitySession` keeps by delta must equal.
     """
     assessment = DatabaseAssessment()
     for relation_name, quality in quality_versions.items():
         if not instance.has_relation(relation_name):
             raise QualityError(
                 f"instance has no relation {relation_name!r} to assess")
-        if previous is not None and changed is not None and \
-                relation_name not in changed and \
-                relation_name in previous.relations:
-            assessment.add(previous.relations[relation_name])
-            continue
         assessment.add(assess_relation(instance.relation(relation_name), quality,
                                        name=relation_name))
     return assessment

@@ -221,10 +221,10 @@ class Context:
         return QualitySession(self, instance, engine=engine, max_steps=max_steps,
                               record_provenance=record_provenance)
 
-    def materialize_quality_version(self, chased: DatabaseInstance,
-                                    instance: DatabaseInstance,
-                                    relation: str) -> Relation:
-        """Extract ``relation``'s quality version from a chased instance."""
+    def chased_quality_relation(self, chased: DatabaseInstance,
+                                instance: DatabaseInstance,
+                                relation: str) -> Relation:
+        """``relation``'s arity-checked quality version in ``chased`` (no copy)."""
         if relation not in self.quality_versions:
             raise ContextError(
                 f"no quality version has been defined for relation {relation!r}")
@@ -235,7 +235,15 @@ class Context:
             raise ContextError(
                 f"quality version {name!r} has arity {materialized.schema.arity}, "
                 f"expected {original_schema.arity} (same schema as {relation!r})")
-        renamed = Relation(RelationSchema(name, original_schema.attributes))
+        return materialized
+
+    def materialize_quality_version(self, chased: DatabaseInstance,
+                                    instance: DatabaseInstance,
+                                    relation: str) -> Relation:
+        """Extract ``relation``'s quality version from a chased instance."""
+        materialized = self.chased_quality_relation(chased, instance, relation)
+        renamed = Relation(RelationSchema(
+            materialized.schema.name, instance.relation(relation).schema.attributes))
         renamed.bulk_load(materialized)
         return renamed
 

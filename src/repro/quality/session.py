@@ -5,10 +5,11 @@ A :class:`QualitySession` is the session-shaped counterpart of the one-shot
 program is chased **once** into a
 :class:`~repro.engine.session.MaterializedProgram`, and then
 
-* quality versions stay materialized and are re-extracted only for
-  relations an update actually touched;
-* per-relation assessments are cached and re-computed only when either the
-  assessed relation or its quality version changed;
+* quality versions are extracted only on request, cached, and re-extracted
+  only for relations an update actually touched;
+* the assessment keeps ``|R ∩ R_q|`` per assessed relation, moved by every
+  update's fact delta, so :meth:`~QualitySession.assess` reads counters
+  instead of comparing tuple sets;
 * quality (clean) query answering caches the ``Q -> Q^q`` rewriting per
   query and evaluates through a :class:`~repro.engine.session.QuerySession`
   (cached parse + join plan), so quality-version queries ride the same
@@ -23,11 +24,12 @@ program is chased **once** into a
 
 Every update returns the underlying
 :class:`~repro.engine.session.UpdateResult`, whose ``changed_predicates``
-drives the dirty tracking.
+and fact delta drive the version tracking and the counts.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from pathlib import Path
 from typing import Dict, Iterable, Optional, Sequence, Set, Union
 
@@ -37,7 +39,7 @@ from ..engine.session import (AnswerTuple, BatchAnswers, MaterializedProgram,
 from ..engine.stats import EngineStats
 from ..engine.versioning import ReadTransaction
 from ..relational.instance import DatabaseInstance, Relation
-from .assessment import DatabaseAssessment, assess_database
+from .assessment import DatabaseAssessment, RelationAssessment
 from .cleaning import rewrite_query_to_quality
 from .context import Context
 
@@ -56,6 +58,10 @@ class QualitySession:
         self.materialized = MaterializedProgram(
             context.assemble(self.instance), engine=engine, max_steps=max_steps,
             record_provenance=record_provenance)
+        self._init_caches(maintain_answers)
+
+    def _init_caches(self, maintain_answers: bool = True) -> None:
+        """Caches and counts, shared by construction and :meth:`load`."""
         self.query_session = QuerySession(self.materialized,
                                           maintain_answers=maintain_answers)
         #: cache counters of this session's quality-layer caches (the chase
@@ -63,9 +69,10 @@ class QualitySession:
         self.stats = EngineStats(engine=self.materialized.engine)
         self._rewritten: Dict[str, object] = {}
         self._versions: Dict[str, Relation] = {}
-        self._last_assessment: Optional[DatabaseAssessment] = None
-        self._dirty_versions: Set[str] = set(context.quality_versions)
-        self._dirty_assessments: Set[str] = set(context.quality_versions)
+        self._dirty_versions: Set[str] = set(self.context.quality_versions)
+        #: assessed relation -> ``|R ∩ R_q|`` at the latest version; ``None``
+        #: until the first :meth:`assess` and after an unknown delta
+        self._kept: Optional[Dict[str, int]] = None
 
     # -- materialization state ----------------------------------------------
 
@@ -94,7 +101,6 @@ class QualitySession:
                     self.context.materialize_quality_version(
                         transaction.instance, self.instance, relation)
             self._dirty_versions.discard(relation)
-            self._dirty_assessments.add(relation)
         else:
             self.stats.cache_hits += 1
         return self._versions[relation]
@@ -107,27 +113,28 @@ class QualitySession:
     # -- assessment ---------------------------------------------------------
 
     def assess(self) -> DatabaseAssessment:
-        """Assess every relation, re-computing only what an update touched.
-
-        Partial re-assessment is delegated to
-        :func:`~repro.quality.assessment.assess_database`: the previous
-        assessment and the dirty-relation set tell it which
-        :class:`~repro.quality.assessment.RelationAssessment` objects can be
-        reused as-is.
-        """
-        versions = self.quality_versions()  # refreshes stale versions first
-        previous = self._last_assessment
-        changed = set(self._dirty_assessments) if previous is not None else None
-        if previous is None:
-            self.stats.cache_misses += len(versions)
-        else:
-            recomputed = sum(1 for relation in versions if relation in changed)
-            self.stats.cache_misses += recomputed
-            self.stats.cache_hits += len(versions) - recomputed
-        assessment = assess_database(self.instance, versions,
-                                     previous=previous, changed=changed)
-        self._last_assessment = assessment
-        self._dirty_assessments.clear()
+        """Assess every relation from counters, extracting no quality version:
+        ``kept`` is counted by probing ``R`` with each row of the published
+        ``R_q`` once, then moved by delta (:meth:`_mark_dirty`); under the
+        write lock, so the counts and the pinned version always agree."""
+        with self.materialized._write_lock, self.read() as transaction:
+            if self._kept is None:
+                self._kept = {
+                    relation: sum(map(
+                        self.instance.relation(relation).__contains__,
+                        self.context.chased_quality_relation(
+                            transaction.instance, self.instance, relation)))
+                    for relation in sorted(self.context.quality_versions)}
+                self.stats.cache_misses += len(self._kept)
+            else:
+                self.stats.cache_hits += len(self._kept)
+            assessment = DatabaseAssessment()
+            for relation, kept in self._kept.items():
+                total = len(self.instance.relation(relation))
+                quality = len(transaction.instance.relation(
+                    self.context.quality_relation_name(relation)))
+                assessment.add(RelationAssessment(relation, total, quality,
+                                                  kept, quality - kept))
         return assessment
 
     # -- clean query answering ----------------------------------------------
@@ -205,13 +212,7 @@ class QualitySession:
         session.context = context
         session.instance = instance
         session.materialized = materialized
-        session.query_session = QuerySession(materialized)
-        session.stats = EngineStats(engine=materialized.engine)
-        session._rewritten = {}
-        session._versions = {}
-        session._last_assessment = None
-        session._dirty_versions = set(context.quality_versions)
-        session._dirty_assessments = set(context.quality_versions)
+        session._init_caches()
         return session
 
     # -- incremental updates ------------------------------------------------
@@ -219,43 +220,66 @@ class QualitySession:
     def add_facts(self, relation: str,
                   rows: Iterable[Sequence]) -> UpdateResult:
         """Insert rows into an EDB relation and refresh the materialization."""
-        update = self.materialized.add_facts(
-            (relation, tuple(row)) for row in rows)
-        self._apply_locally(update, retract=False)
-        self._mark_dirty(update)
-        return update
+        return self._update(self.materialized.add_facts, relation, rows)
 
     def retract_facts(self, relation: str,
                       rows: Iterable[Sequence]) -> UpdateResult:
         """Remove rows from an EDB relation and refresh the materialization."""
-        update = self.materialized.retract_facts(
-            (relation, tuple(row)) for row in rows)
-        self._apply_locally(update, retract=True)
-        self._mark_dirty(update)
+        return self._update(self.materialized.retract_facts, relation, rows)
+
+    def _update(self, apply, relation: str,
+                rows: Iterable[Sequence]) -> UpdateResult:
+        """Apply, mirror and count one update under the program's write lock,
+        so the counts move against exactly the version it published."""
+        with self.materialized._write_lock:
+            update = apply((relation, tuple(row)) for row in rows)
+            for predicate, row in update.applied:
+                if not self.instance.has_relation(predicate):
+                    continue  # contextual/ontology relation, not under assessment
+                if update.action == "retract":
+                    self.instance.relation(predicate).discard(row)
+                else:
+                    self.instance.add(predicate, row)
+            self._mark_dirty(update)
         return update
 
-    def _apply_locally(self, update: UpdateResult, retract: bool) -> None:
-        """Mirror applied EDB changes into the instance under assessment."""
-        for predicate, row in update.applied:
-            if not self.instance.has_relation(predicate):
-                continue  # contextual/ontology relation, not under assessment
-            if retract:
-                self.instance.relation(predicate).discard(row)
-            else:
-                self.instance.add(predicate, row)
-
     def _mark_dirty(self, update: UpdateResult) -> None:
+        """Stale the touched quality versions; move ``kept`` by ``after -
+        before`` per row of ``R`` or ``R_q`` in the delta, ``after`` probed in
+        the instance and the ``R_q`` this update published (pinned).  An
+        unknown delta (EGD merges, full re-chase) drops the counts instead."""
         if update.strategy == "noop":
             return
-        applied_predicates = {predicate for predicate, _ in update.applied}
         for assessed in self.context.quality_versions:
-            quality_name = self.context.quality_relation_name(assessed)
-            if update.touched(quality_name):
+            if update.touched(self.context.quality_relation_name(assessed)):
                 self._dirty_versions.add(assessed)
-            if assessed in applied_predicates or update.touched(assessed):
-                self._dirty_assessments.add(assessed)
+        if self._kept is None:
+            return
+        if update.added_facts is None or update.removed_facts is None:
+            self.stats.maintenance_fallbacks += len(self._kept)
+            self._kept = None
+            return
+        added, removed = set(update.added_facts), set(update.removed_facts)
+        with self.read() as transaction:
+            for assessed in self._kept:
+                quality = self.context.quality_relation_name(assessed)
+                sides = {assessed: self.instance.relation(assessed),
+                         quality: transaction.instance.relation(quality)}
+                candidates = {row for name, row in chain(added, removed)
+                              if name in sides}
+                if candidates:
+                    self.stats.answers_maintained += 1
+                for row in candidates:
+                    # before: a removed row was present (also when re-derived
+                    # into both lists), a row only added was absent
+                    self._kept[assessed] += all(
+                        row in relation for relation in sides.values()) - all(
+                        (name, row) in removed or
+                        ((name, row) not in added and row in relation)
+                        for name, relation in sides.items())
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"QualitySession({self.context.name!r}, "
                 f"version={self.materialized.version}, "
                 f"dirty={sorted(self._dirty_versions)})")
+
