@@ -5,8 +5,8 @@ Multidimensional Data Quality Assessment"* (Milani, Bertossi & Ariyan,
 arXiv:1312.7373 / 2014).  The library provides:
 
 * :mod:`repro.relational` — an in-memory relational substrate (schemas,
-  instances with on-demand hash indexes, algebra, pattern queries, labeled
-  nulls, CSV I/O);
+  instances with on-demand hash indexes, dictionary-encoded code columns,
+  labeled nulls);
 * :mod:`repro.engine` — the shared evaluation engine: indexed atom matching
   with selectivity-ordered joins, the naive reference matcher, and the
   :class:`~repro.engine.stats.EngineStats` instrumentation threaded through

@@ -15,7 +15,6 @@ from .rules import EGD, ConjunctiveQuery, NegativeConstraint, TGD, plain_rule
 from .program import DatalogProgram
 from .parser import parse_atom, parse_program, parse_query, parse_rule, parse_statements
 from .chase import ChaseEngine, ChaseResult, ConstraintViolation, chase, OBLIVIOUS, RESTRICTED
-from .seminaive import evaluate_plain_datalog, evaluate_program
 from .classes import (ClassReport, classify, compute_sticky_marking, is_guarded,
                       is_linear, is_non_recursive, is_sticky, is_weakly_acyclic,
                       is_weakly_sticky)
@@ -35,7 +34,6 @@ __all__ = [
     "DatalogProgram",
     "parse_atom", "parse_program", "parse_query", "parse_rule", "parse_statements",
     "ChaseEngine", "ChaseResult", "ConstraintViolation", "chase", "OBLIVIOUS", "RESTRICTED",
-    "evaluate_plain_datalog", "evaluate_program",
     "ClassReport", "classify", "compute_sticky_marking", "is_guarded", "is_linear",
     "is_non_recursive", "is_sticky", "is_weakly_acyclic", "is_weakly_sticky",
     "PositionGraph", "PredicateGraph", "build_position_graph", "build_predicate_graph",

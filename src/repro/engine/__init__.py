@@ -1,9 +1,9 @@
 """The shared evaluation engine: indexed storage access + matching.
 
 Every evaluator of the reproduction — the chase, certain-answer QA, the
-semi-naive least-model computation, the deterministic weakly-sticky solver
-and the quality pipeline — bottoms out in matching rule/query atoms against
-a :class:`~repro.relational.instance.DatabaseInstance`.  This package is the
+deterministic weakly-sticky solver and the quality pipeline — bottoms out
+in matching rule/query atoms against a
+:class:`~repro.relational.instance.DatabaseInstance`.  This package is the
 single fast matching engine under all of them:
 
 * :mod:`repro.engine.stats` — :class:`EngineStats`, the instrumentation

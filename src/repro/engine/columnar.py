@@ -890,22 +890,19 @@ class ColumnarMatcher(IndexedMatcher):
         return BindingTable(columns, len(keep))
 
     def delta_substitutions(self, plan: DeltaJoinPlan,
-                            instance: DatabaseInstance, delta: DeltaLike,
-                            dedupe: bool = True) -> Iterator[Substitution]:
+                            instance: DatabaseInstance,
+                            delta: DeltaLike) -> Iterator[Substitution]:
         """Batch form of :meth:`DeltaJoinPlan.homomorphisms`.
 
-        Joins *all* delta rows of each pivot in one pass; with ``dedupe``
-        valuations reachable through several pivots are yielded once, keyed
-        by their code tuple over the plan's variables (codes are bijective
-        with value-equality classes, so this matches the reference's
-        value-based key).
+        Joins *all* delta rows of each pivot in one pass; valuations
+        reachable through several pivots are yielded once, keyed by their
+        code tuple over the plan's variables (codes are bijective with
+        value-equality classes, so this matches the reference's value-based
+        key).
         """
         variables = plan.variables
         seen: Set[Tuple[int, ...]] = set()
         for table in self._delta_tables(plan, instance, delta):
-            if not dedupe:
-                yield from table.substitutions()
-                continue
             keys = table.code_rows(variables)
             take = []
             for i, key in enumerate(keys):

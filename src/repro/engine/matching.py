@@ -31,15 +31,15 @@ The :class:`IndexedMatcher` is the production path:
   compute it once and replay it with ``preordered=True``.
 
 The module also hosts the **delta-pivot join** shared by the delta-driven
-chase, semi-naive Datalog evaluation and the session layer's answer
-maintenance: each body atom in turn is pinned to the delta and the
-remaining atoms are joined against the full instance, with the join order
-hoisted out of the per-row loop (one plan per pivot, since bound-ness
-depends only on the pivot atom, not on the delta row).  The compiled form
+chase and the session layer's answer maintenance: each body atom in turn
+is pinned to the delta and the remaining atoms are joined against the full
+instance, with the join order hoisted out of the per-row loop (one plan
+per pivot, since bound-ness depends only on the pivot atom, not on the
+delta row).  The compiled form
 is :class:`DeltaJoinPlan` — a reusable object the session layer caches per
 query so repeated updates replay the same pivot plans — and
-:func:`iter_delta_joins` is the one-shot wrapper the chase and semi-naive
-evaluator call per (rule, round).
+:func:`iter_delta_joins` is the one-shot wrapper the chase calls per
+(rule, round).
 
 Matchers optionally record their work in an
 :class:`~repro.engine.stats.EngineStats` object.
@@ -356,24 +356,22 @@ class DeltaJoinPlan:
             grouped.setdefault(predicate, []).append(tuple(row))
         return grouped
 
-    def homomorphisms(self, instance: DatabaseInstance, delta: DeltaLike,
-                      dedupe: bool = True) -> Iterator[Substitution]:
+    def homomorphisms(self, instance: DatabaseInstance,
+                      delta: DeltaLike) -> Iterator[Substitution]:
         """Homomorphisms from the body into ``instance`` using ≥ 1 delta fact.
 
-        With ``dedupe`` (the default) homomorphisms reachable through
-        several pivots are yielded once, keyed by the bindings of the
-        plan's ``variables`` — with ``variables`` covering every body
-        variable, each distinct valuation is yielded exactly once, which is
-        what counting-based answer maintenance requires.  Consumers whose
-        downstream effect is idempotent (semi-naive evaluation inserting
-        head facts into a set) may disable it.
+        Homomorphisms reachable through several pivots are yielded once,
+        keyed by the bindings of the plan's ``variables`` — with
+        ``variables`` covering every body variable, each distinct valuation
+        is yielded exactly once, which is what counting-based answer
+        maintenance requires.
         """
         matcher = self.matcher
         batch = getattr(matcher, "delta_substitutions", None)
         if batch is not None:
             # The columnar matcher joins all delta rows of a pivot at once
             # (set-at-a-time) instead of running the per-row loop below.
-            yield from batch(self, instance, delta, dedupe=dedupe)
+            yield from batch(self, instance, delta)
             return
         grouped = self._delta_rows(delta)
         if not grouped:
@@ -398,14 +396,13 @@ class DeltaJoinPlan:
                     comparisons=self.comparisons, preordered=True) \
                     if rest or self.comparisons else [seed]
                 for homomorphism in candidates:
-                    if dedupe:
-                        key = frozenset(
-                            (variable.name,
-                             term_value(apply_to_term(homomorphism, variable)))
-                            for variable in self.variables)
-                        if key in seen:
-                            continue
-                        seen.add(key)
+                    key = frozenset(
+                        (variable.name,
+                         term_value(apply_to_term(homomorphism, variable)))
+                        for variable in self.variables)
+                    if key in seen:
+                        continue
+                    seen.add(key)
                     yield homomorphism
 
     def projected_counts(self, instance: DatabaseInstance, delta: DeltaLike,
@@ -426,7 +423,7 @@ class DeltaJoinPlan:
         if batch is not None:
             return batch(self, instance, delta, projection)
         counts: Dict[Tuple[Any, ...], int] = {}
-        for homomorphism in self.homomorphisms(instance, delta, dedupe=True):
+        for homomorphism in self.homomorphisms(instance, delta):
             row = tuple(term_value(apply_to_term(homomorphism, variable))
                         for variable in projection)
             counts[row] = counts.get(row, 0) + 1
@@ -435,12 +432,12 @@ class DeltaJoinPlan:
 
 def iter_delta_joins(matcher: Matcher, body: Sequence[Atom],
                      variables: Sequence[Variable], instance: DatabaseInstance,
-                     delta: Optional[DatabaseInstance],
-                     dedupe: bool = True) -> Iterator[Substitution]:
+                     delta: Optional[DatabaseInstance]
+                     ) -> Iterator[Substitution]:
     """Homomorphisms from ``body`` into ``instance`` using ≥ 1 delta fact.
 
-    One-shot wrapper over :class:`DeltaJoinPlan` for the delta-driven chase
-    and semi-naive Datalog evaluation.  When ``delta`` is ``None`` (a first
+    One-shot wrapper over :class:`DeltaJoinPlan` for the delta-driven
+    chase.  When ``delta`` is ``None`` (a first
     round) every homomorphism is enumerated; otherwise a plan is compiled
     for this call (per-pivot orders are still hoisted out of the row loop)
     and replayed over the delta.  Callers that evaluate the same
@@ -451,7 +448,7 @@ def iter_delta_joins(matcher: Matcher, body: Sequence[Atom],
         yield from matcher.find_homomorphisms(body, instance)
         return
     plan = DeltaJoinPlan(matcher, body, variables=variables)
-    yield from plan.homomorphisms(instance, delta, dedupe=dedupe)
+    yield from plan.homomorphisms(instance, delta)
 
 
 def matcher_for(engine: Optional[str] = None,

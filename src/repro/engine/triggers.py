@@ -60,7 +60,7 @@ from ..relational.values import NullFactory, value_catalog
 from .columnar import BindingTable, _decode_array, _take_rows, _unique_rows
 from .matching import DeltaJoinPlan, DeltaLike
 
-__all__ = ["BatchOutcome", "TriggerBatcher", "seminaive_head_batches"]
+__all__ = ["BatchOutcome", "TriggerBatcher"]
 
 Fact = Tuple[str, Tuple[Any, ...]]
 
@@ -497,44 +497,3 @@ def _side_codes(table: BindingTable, term, sentinel: int):
     code = value_catalog().try_code(term_value(term))
     return code if code is not None else sentinel
 
-
-# -- seminaive fixpoint -------------------------------------------------------
-
-def seminaive_head_batches(matcher, rule, instance: DatabaseInstance,
-                           delta: Optional[DeltaLike],
-                           context_cache: Dict[int, _RuleContext],
-                           index: int
-                           ) -> Optional[List[Tuple[str, list, list]]]:
-    """One plain rule's head rows, batch-instantiated for the seminaive loop.
-
-    Plain Datalog needs no frontier grouping or satisfaction filter — every
-    joined binding projects a head row and ``add_many``'s novelty mask does
-    the dedupe — so this just routes the joined table through
-    :func:`_head_rows`.  Returns ``[(predicate, rows, code_rows), ...]``
-    per head atom, or ``None`` to fall back.
-    """
-    context = context_cache.get(index)
-    if context is None:
-        context = context_cache[index] = _RuleContext(rule)
-    predicates = [predicate for predicate, _ in context.head_atoms]
-    if len(set(predicates)) != len(predicates):
-        return None
-    if delta is None:
-        table = matcher.binding_table(rule.body, instance)
-        if table is None:
-            return None
-    else:
-        plan = DeltaJoinPlan(matcher, rule.body,
-                             variables=rule.body_variables())
-        table = matcher.delta_binding_table(plan, instance, delta)
-    if any(variable not in table.columns for variable in context.frontier):
-        return None
-    if not table.length:
-        return []
-    columns = [table.columns[variable] for variable in context.frontier]
-    out = []
-    for predicate, descriptors in context.head_atoms:
-        rows, code_rows = _head_rows(descriptors, columns, None, 0,
-                                     table.length)
-        out.append((predicate, rows, code_rows))
-    return out

@@ -82,10 +82,6 @@ class EGDConflictError(InconsistencyError):
     """An EGD requires equating two distinct constants (a hard violation)."""
 
 
-class QueryAnsweringError(DatalogError):
-    """A query could not be answered (unsupported shape, missing data...)."""
-
-
 class RewritingError(DatalogError):
     """A rule set is not eligible for first-order query rewriting."""
 

@@ -15,6 +15,8 @@ ontology must produce the same tuples that direct navigation produces).
   fresh labeled nulls, as in rule (8)/Example 5.
 """
 
+# orphan: ok — the direct-navigation oracle the end-to-end tests hold the chase to
+
 from __future__ import annotations
 
 from typing import Any, Optional, Sequence, Tuple

@@ -1,8 +1,8 @@
 """Relation and database instances.
 
 Instances are in-memory, set-based (duplicate-free) collections of tuples.
-They are the extensional layer on which the relational algebra, the chase
-and the query-answering algorithms operate.
+They are the extensional layer on which the chase and the query-answering
+algorithms operate.
 
 Design notes
 ------------
@@ -133,8 +133,8 @@ class Relation:
     def bulk_load(self, rows: Iterable[Sequence[Any]]) -> int:
         """Wholesale-assign ``rows`` into an empty, index-free relation.
 
-        The restore fast path (snapshot decode, CSV ingestion of a fresh
-        relation): rows go straight into the row dictionary via
+        The restore fast path (snapshot decode, a freshly materialized
+        quality version): rows go straight into the row dictionary via
         ``dict.fromkeys`` — one C-level pass, no per-row index maintenance
         because there is nothing to maintain yet — after a single arity
         scan.  Falls back to :meth:`add_many` when the relation already

@@ -56,10 +56,6 @@ class RelationSchema:
                 f"known attributes: {self.attributes}"
             ) from None
 
-    def has_attribute(self, attribute: str) -> bool:
-        """Return ``True`` if the relation has an attribute of that name."""
-        return attribute in self.attributes
-
     def check_arity(self, values: Sequence) -> None:
         """Raise :class:`ArityError` unless ``values`` matches the arity."""
         if len(values) != self.arity:
@@ -67,10 +63,6 @@ class RelationSchema:
                 f"relation {self.name!r} has arity {self.arity}, "
                 f"got {len(values)} values: {tuple(values)!r}"
             )
-
-    def rename(self, new_name: str) -> "RelationSchema":
-        """Return a copy of this schema under a different relation name."""
-        return RelationSchema(new_name, self.attributes)
 
     def project(self, attributes: Sequence[str], name: Optional[str] = None) -> "RelationSchema":
         """Return the schema obtained by keeping only ``attributes``."""

@@ -12,7 +12,7 @@ fresh nulls, so chase runs are reproducible; :class:`ValueInterner` /
 ingestion so equal values share one object (tuple hashing and equality on
 the matching hot path then hit CPython's pointer-identity fast paths, and
 duplicated constants stop costing memory per row); and a handful of small
-helpers shared by the relational algebra and the Datalog± engine.
+helpers shared by the storage layer and the Datalog± engine.
 """
 
 from __future__ import annotations
@@ -83,7 +83,7 @@ class NullFactory:
 class ValueInterner:
     """Dictionary-encode constants so equal values share one object.
 
-    Ingestion paths (CSV readers, snapshot restores) pass every decoded
+    Ingestion paths (snapshot restores) pass every decoded
     constant through :meth:`intern`.  Strings go through :func:`sys.intern`
     — the process-wide table with the cheapest lookup, and entries CPython
     reclaims when the last reference dies — and every other hashable value

@@ -7,6 +7,8 @@ are deterministic so that pytest-benchmark timings are comparable across
 runs.
 """
 
+# orphan: ok — public query builders for generated workloads, kept as API; only tests call them
+
 from __future__ import annotations
 
 from typing import List, Sequence

@@ -6,7 +6,8 @@ row-scanning reference in ``repro.datalog.unify``.  These tests assert that
 on the seed programs and on randomized programs:
 
 * **plain Datalog** (no existentials, no nulls): the least models must be
-  *exactly* equal, for both the delta chase and semi-naive evaluation;
+  *exactly* equal, for the delta chase on both the indexed and the
+  columnar engine;
 * **existential programs** (stratified, hence terminating): the ground
   (null-free) facts and the certain answers of randomized queries must
   coincide; null counts per relation must match;
@@ -24,7 +25,7 @@ from typing import List
 
 import pytest
 
-from repro.datalog import DatalogProgram, chase, evaluate_plain_datalog, parse_query
+from repro.datalog import DatalogProgram, chase, parse_query
 from repro.datalog.answering import certain_answers, evaluate_query
 from repro.datalog.atoms import Atom
 from repro.datalog.rules import EGD, ConjunctiveQuery, TGD
@@ -129,22 +130,14 @@ def _null_profile(instance: DatabaseInstance):
 
 @pytest.mark.parametrize("seed", range(50))
 def test_plain_datalog_chase_identical(seed):
-    """Delta chase ≡ naive chase, exactly, on 50 randomized plain programs."""
+    """Delta chase (indexed and columnar) ≡ naive chase, exactly, on 50
+    randomized plain programs."""
     program = _random_program(seed, existential=False)
-    indexed = chase(program, engine="indexed", check_constraints=False)
     naive = chase(program, engine="naive", check_constraints=False)
-    assert indexed.instance == naive.instance
-    assert indexed.steps == naive.steps
-
-
-@pytest.mark.parametrize("seed", range(0, 50, 5))
-def test_plain_datalog_seminaive_identical(seed):
-    """Semi-naive evaluation agrees across engines and with the chase."""
-    program = _random_program(seed, existential=False)
-    indexed = evaluate_plain_datalog(program.tgds, program.database, engine="indexed")
-    naive = evaluate_plain_datalog(program.tgds, program.database, engine="naive")
-    assert indexed == naive
-    assert indexed == chase(program, check_constraints=False).instance
+    for engine in ("indexed", "columnar"):
+        delta = chase(program, engine=engine, check_constraints=False)
+        assert delta.instance == naive.instance
+        assert delta.steps == naive.steps
 
 
 # -- existential programs: ground facts + certain answers ---------------------

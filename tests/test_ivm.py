@@ -15,7 +15,7 @@ hammers with randomized streams:
   re-answers correctly;
 * snapshots persist the support counts, so a restored session answers —
   and keeps maintaining — without a single join;
-* ingestion interns constants (pointer-identity hashing/equality);
+* snapshot restores intern constants (pointer-identity hashing/equality);
 * cache hits hand out the same immutable answer tuple, never a copy.
 """
 
@@ -29,10 +29,7 @@ from repro.datalog.answering import (evaluate_query, evaluate_query_counts,
 from repro.datalog.chase import chase
 from repro.engine.matching import DeltaJoinPlan, matcher_for
 from repro.engine.session import MaterializedProgram, QuerySession
-from repro.relational.csvio import read_relation_csv, write_relation_csv
-from repro.relational.instance import Relation
-from repro.relational.schema import RelationSchema
-from repro.relational.values import Null, ValueInterner, intern_value
+from repro.relational.values import ValueInterner, intern_value
 
 ENGINES = ("indexed", "naive")
 
@@ -393,22 +390,6 @@ def test_cache_hits_share_one_immutable_tuple():
     second = session.answers(QUERY)
     assert isinstance(first, tuple)
     assert first is second  # O(1) hit: the same object, never a copy
-
-
-def test_csv_ingestion_interns_constants(tmp_path):
-    relation = Relation(RelationSchema("R", ["a", "b"]))
-    relation.add(("ward_one", "value_1"))
-    relation.add(("ward_one", "value_2"))
-    relation.add((Null("n1"), "ward_one"))
-    path = tmp_path / "R.csv"
-    write_relation_csv(relation, path)
-
-    loaded = read_relation_csv(path)
-    values = [value for row in loaded.sorted_rows() for value in row
-              if value == "ward_one"]
-    assert len(values) == 3
-    assert values[0] is values[1] is values[2]  # one object per constant
-    assert set(loaded) == set(relation)
 
 
 def test_value_interner_canonicalizes_and_passes_unhashable_through():

@@ -90,7 +90,7 @@ def _unpinned_issues(tmp_path, source: str, name: str = "repro/quality/x.py"):
     target = tmp_path / "src" / name  # the check only applies under src/
     target.parent.mkdir(parents=True, exist_ok=True)
     target.write_text(source, encoding="utf-8")
-    return [issue for issue in lint_file(target) if "unpinned" in issue]
+    return [issue for issue in lint_file(target) if "unpinned read" in issue]
 
 
 def test_flags_unpinned_latest_reads_in_src(tmp_path):
@@ -114,4 +114,4 @@ def test_writer_only_annotation_and_versioning_module_pass(tmp_path):
     outside = tmp_path / "tests" / "test_y.py"
     outside.parent.mkdir(parents=True, exist_ok=True)
     outside.write_text(bare, encoding="utf-8")
-    assert [i for i in lint_file(outside) if "unpinned" in i] == []
+    assert [i for i in lint_file(outside) if "unpinned read" in i] == []

@@ -2,7 +2,6 @@
 
 The invariants covered:
 
-* relational algebra laws (idempotence, commutativity, containment bounds);
 * unification soundness (a unifier really unifies) on random atoms;
 * chase soundness/monotonicity on random single-rule programs;
 * roll-up / drill-down duality on random strict hierarchies;
@@ -20,7 +19,6 @@ from repro.datalog.classes import classify
 from repro.datalog.unify import apply_to_atom, unify_atoms
 from repro.md.builder import DimensionBuilder
 from repro.quality.assessment import assess_relation
-from repro.relational import algebra
 from repro.relational.instance import Relation
 from repro.relational.schema import RelationSchema
 
@@ -40,47 +38,6 @@ atoms = st.builds(
     st.sampled_from(["P", "Q"]),
     st.lists(terms, min_size=1, max_size=3),
 )
-
-
-# ---------------------------------------------------------------------------
-# Relational algebra laws
-# ---------------------------------------------------------------------------
-
-class TestAlgebraProperties:
-    @given(relation2)
-    def test_projection_is_idempotent(self, relation):
-        once = algebra.project(relation, ["x"])
-        twice = algebra.project(once, ["x"])
-        assert set(once) == set(twice)
-
-    @given(relation2, relation2)
-    def test_union_is_commutative(self, left, right):
-        assert set(algebra.union(left, right)) == set(algebra.union(right, left))
-
-    @given(relation2, relation2)
-    def test_difference_then_union_recovers_subset(self, left, right):
-        difference = algebra.difference(left, right)
-        assert set(difference) <= set(left)
-        assert set(difference) & set(right) == set()
-
-    @given(relation2, relation2)
-    def test_intersection_is_contained_in_both(self, left, right):
-        intersection = algebra.intersection(left, right)
-        assert set(intersection) <= set(left) and set(intersection) <= set(right)
-
-    @given(relation2, relation2)
-    def test_containment_ratio_bounds(self, subject, reference):
-        ratio = algebra.tuple_containment_ratio(subject, reference)
-        assert 0.0 <= ratio <= 1.0
-
-    @given(relation2)
-    def test_containment_ratio_reflexive(self, relation):
-        assert algebra.tuple_containment_ratio(relation, relation) == 1.0
-
-    @given(relation2)
-    def test_selection_is_a_subset(self, relation):
-        selected = algebra.select(relation, lambda row: row["x"] == "a")
-        assert set(selected) <= set(relation)
 
 
 # ---------------------------------------------------------------------------

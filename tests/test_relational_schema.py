@@ -37,11 +37,6 @@ class TestRelationSchema:
         with pytest.raises(ArityError):
             schema.check_arity(("x",))
 
-    def test_rename_keeps_attributes(self):
-        schema = RelationSchema("R", ["a", "b"]).rename("S")
-        assert schema.name == "S"
-        assert schema.attributes == ("a", "b")
-
     def test_project(self):
         schema = RelationSchema("R", ["a", "b", "c"]).project(["c", "a"])
         assert schema.attributes == ("c", "a")

@@ -1,5 +1,5 @@
 #!/usr/bin/env python
-"""Dependency-free lint pass: unused imports, duplicate imports, bare prints.
+"""Dependency-free lint pass: unused imports, orphan modules, timing asserts.
 
 The container has no third-party linter, so this covers the checks the repo
 actually relies on in CI:
@@ -11,10 +11,9 @@ actually relies on in CI:
 * **per-tuple loops in engine hot sections** — a ``for`` statement binding
   a ``row`` (or iterating ``.rows()``) inside the matching-engine modules
   and the chase trigger-application paths (``engine/matching.py``,
-  ``engine/columnar.py``, ``engine/triggers.py``, ``datalog/chase.py``,
-  ``datalog/seminaive.py``, ``relational/csvio.py``): the columnar engine
-  and the batched trigger path exist so that relation-sized iteration
-  happens in batch kernels, not in Python loops.  Loops that are genuinely
+  ``engine/columnar.py``, ``engine/triggers.py``, ``datalog/chase.py``):
+  the columnar engine and the batched trigger path exist so that
+  relation-sized iteration happens in batch kernels, not in Python loops.  Loops that are genuinely
   per-tuple-sized (delta rows, result rows) or deliberately row-at-a-time
   (the naive oracle, batch-ineligible fallbacks) carry a
   ``# per-tuple: ok — <reason>`` comment on the loop line or the line
@@ -34,6 +33,15 @@ actually relies on in CI:
   must reach published relations through a pin (``store.pin()`` /
   ``ReadTransaction``); the single writer, which cannot race itself,
   annotates ``# unpinned: writer-only`` on the line or the line above;
+* **orphan modules in ``src/repro``** — a module nothing imports but its
+  own package ``__init__``'s re-exports and the tests (code only tests
+  reach is dead).  An import counts from the rest of ``src/`` (a lazy one
+  inside a function of the ``__init__`` too) and from the ``bench/``,
+  ``benchmarks/`` and ``examples/`` trees beside it, and so does importing
+  from the package a name its ``__init__`` re-exports from the module.
+  Entry points run with ``python -m`` (an ``if __name__ == "__main__"``
+  block) pass; a module kept deliberately carries an
+  ``# orphan: ok — <reason>`` comment;
 * **syntax errors** — files that do not parse at all.
 
 Usage::
@@ -47,8 +55,9 @@ from __future__ import annotations
 
 import ast
 import sys
+from functools import lru_cache
 from pathlib import Path
-from typing import Iterator, List, Set, Tuple
+from typing import Dict, Iterator, List, Set, Tuple
 
 
 def _imported_names(tree: ast.Module) -> List[Tuple[str, int]]:
@@ -91,8 +100,7 @@ def _used_names(tree: ast.Module) -> Set[str]:
 
 #: modules whose inner loops are the engine hot path (see module docstring)
 HOT_MODULES = ("engine/matching.py", "engine/columnar.py",
-               "engine/triggers.py", "datalog/chase.py",
-               "datalog/seminaive.py", "relational/csvio.py")
+               "engine/triggers.py", "datalog/chase.py")
 SUPPRESS = "# per-tuple: ok"
 
 
@@ -201,6 +209,117 @@ def _unpinned_version_reads(path: Path, tree: ast.Module,
                f"'{UNPINNED_SUPPRESS}')")
 
 
+ORPHAN_SUPPRESS = "# orphan: ok"
+#: trees beside ``src/`` whose imports keep a library module alive
+CONSUMER_ROOTS = ("bench", "benchmarks", "examples")
+
+
+def _module_name(path: Path, src: Path) -> str:
+    parts = list(path.relative_to(src).with_suffix("").parts)
+    if parts[-1] == "__init__":
+        parts.pop()
+    return ".".join(parts)
+
+
+#: the (name, bound name) pairs of a ``from`` import
+Aliases = Tuple[Tuple[str, str], ...]
+
+
+def _imports(tree: ast.Module,
+             package: str) -> Iterator[Tuple[str, Aliases, bool]]:
+    """(module, aliases, lazy) for every module an import in ``tree`` may
+    load: ``from a.b import c`` loads ``a.b`` (aliases ``c``) or the
+    submodule ``a.b.c``; ``lazy`` marks an import inside a function body.
+    Relative imports resolve against ``package`` (a file outside any
+    package passes ``""`` and they are skipped)."""
+    stack = [(node, False) for node in tree.body]
+    while stack:
+        node, lazy = stack.pop()
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name, (), lazy
+        elif isinstance(node, ast.ImportFrom):
+            base = node.module or ""
+            if node.level:
+                parts = package.split(".") if package else []
+                if node.level > len(parts):
+                    continue
+                anchor = parts[:len(parts) - node.level + 1]
+                base = ".".join(anchor + ([base] if base else []))
+            yield base, tuple((alias.name, alias.asname or alias.name)
+                              for alias in node.names), lazy
+            for alias in node.names:
+                yield f"{base}.{alias.name}", (), lazy
+        else:
+            lazy = lazy or isinstance(node, (ast.FunctionDef,
+                                             ast.AsyncFunctionDef))
+            stack.extend((child, lazy)
+                         for child in ast.iter_child_nodes(node))
+
+
+@lru_cache(maxsize=None)
+def _module_importers(root: Path
+                      ) -> Dict[str, List[Tuple[str, Aliases, bool]]]:
+    """module -> (importer, aliases, lazy) per import of it, over
+    ``root``'s ``src/`` and consumer trees (a consumer-tree importer is
+    named by its path)."""
+    importers: Dict[str, List[Tuple[str, Aliases, bool]]] = {}
+    src = root / "src"
+    for tree_root in (src,) + tuple(root / name for name in CONSUMER_ROOTS):
+        for path in sorted(tree_root.rglob("*.py")):
+            try:
+                tree = ast.parse(path.read_text(encoding="utf-8"))
+            except SyntaxError:
+                continue
+            if tree_root == src:
+                importer = _module_name(path, src)
+                package = importer if path.name == "__init__.py" \
+                    else importer.rpartition(".")[0]
+            else:
+                importer, package = str(path), ""
+            for module, aliases, lazy in _imports(tree, package):
+                importers.setdefault(module, []).append(
+                    (importer, aliases, lazy))
+    return importers
+
+
+def _is_reached(module: str,
+                importers: Dict[str, List[Tuple[str, Aliases, bool]]]) -> bool:
+    """Imported by anything but its package ``__init__``'s re-exports —
+    directly, or by a name imported from the package that the
+    ``__init__`` re-exports from it."""
+    package = module.rpartition(".")[0]
+    reexported: Set[str] = set()
+    for importer, aliases, lazy in importers.get(module, ()):
+        if importer != package or lazy:
+            return True
+        reexported.update(bound for _, bound in aliases)
+    return any(importer != package and name in reexported
+               for importer, aliases, _ in importers.get(package, ())
+               for name, _ in aliases)
+
+
+def _orphan_module(path: Path, tree: ast.Module,
+                   source: str) -> Iterator[str]:
+    parts = path.resolve().parts
+    if path.name == "__init__.py" or "src" not in parts:
+        return
+    cut = len(parts) - 1 - parts[::-1].index("src")
+    root, src = Path(*parts[:cut]), Path(*parts[:cut + 1])
+    module = _module_name(Path(*parts), src)
+    if not module.startswith("repro.") or ORPHAN_SUPPRESS in source:
+        return
+    if any(isinstance(node, ast.If) and "__main__" in ast.dump(node.test)
+           for node in tree.body):
+        return  # an entry point run with ``python -m``
+    if _is_reached(module, _module_importers(root)):
+        return
+    yield (f"{path}:1: orphan module {module!r}: nothing in src/ (outside "
+           f"its package __init__), bench/, benchmarks/ or examples/ "
+           f"imports it (delete it, or annotate '{ORPHAN_SUPPRESS} — "
+           f"<reason>')")
+
+
 def _is_bare_number(node: ast.AST) -> bool:
     if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
         node = node.operand
@@ -246,6 +365,7 @@ def lint_file(path: Path) -> Iterator[str]:
     yield from _per_tuple_loops(path, tree, source.splitlines())
     yield from _unfloored_wall_clock_asserts(path, tree, source.splitlines())
     yield from _unpinned_version_reads(path, tree, source.splitlines())
+    yield from _orphan_module(path, tree, source)
     imported = _imported_names(tree)
     used = _used_names(tree)
     seen: Set[str] = set()
