@@ -15,16 +15,14 @@ batch — the recovery invariant, timed.  The second axis is **update →
 answer round-trip throughput** over the real socket protocol (append +
 fsync + incremental apply + answer), measured against a live daemon.
 
-The per-size trajectory lands in ``BENCH_serving.json``; the motivating
-claim (gated at the largest size) is warm restart ≥ 5× faster than the
-cold chase.  ``REPRO_BENCH_SMOKE=1`` shrinks the sweep to seconds for CI
-and skips the gate and the artifact write.
+The motivating claim (gated at the largest size) is warm restart ≥ 5×
+faster than the cold chase.  ``REPRO_BENCH_SMOKE=1`` shrinks the sweep to
+seconds for CI and skips the gate.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import os
 import time
 from contextlib import contextmanager
@@ -35,8 +33,6 @@ from repro.serving import CompactionPolicy, ServingClient
 from repro.serving.daemon import ProgramBackend, ServingDaemon
 from repro.workloads import (WorkloadSpec, generate_update_stream,
                              generate_workload)
-
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_serving.json"
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 SIZES = (20, 40) if SMOKE else (100, 200, 400, 800)
@@ -156,7 +152,7 @@ def _run_one_size(size: int, data_root: Path) -> dict:
 
 
 def test_warm_restart_beats_cold_chase(tmp_path):
-    """Warm ≡ cold at every size; ≥5× faster at the largest; emits JSON."""
+    """Warm ≡ cold at every size; ≥5× faster at the largest."""
     trajectory = [_run_one_size(size, tmp_path) for size in SIZES]
 
     largest = trajectory[-1]
@@ -164,30 +160,3 @@ def test_warm_restart_beats_cold_chase(tmp_path):
         assert largest["speedup"] >= MIN_SPEEDUP, (
             f"warm restart only {largest['speedup']}x faster than a cold "
             f"chase at the largest size; trajectory: {trajectory}")
-
-    if SMOKE:
-        return  # tiny sizes would pollute the recorded trajectory
-
-    history = []
-    if ARTIFACT.exists():
-        try:
-            history = json.loads(
-                ARTIFACT.read_text(encoding="utf-8")).get("runs", [])
-        except (json.JSONDecodeError, AttributeError):
-            history = []
-    run_record = {
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "trajectory": trajectory,
-    }
-    history = (history + [run_record])[-20:]
-    ARTIFACT.write_text(json.dumps({
-        "experiment": "E15-serving",
-        "workload": {"dimensions": 2, "depth": 3, "fanout": 3,
-                     "base_relations": 2, "upward_rules": True,
-                     "downward_rules": True, "seed": 13},
-        "sizes": list(SIZES),
-        "roundtrips_per_size": ROUNDTRIPS,
-        "trajectory": trajectory,
-        "runs": history,
-    }, indent=2) + "\n", encoding="utf-8")
-    assert ARTIFACT.exists()

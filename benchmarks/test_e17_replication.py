@@ -9,30 +9,25 @@ daemon subprocess over the socket protocol:
   frames into one buffered write + one fsync and applies contiguous
   same-op runs in bulk.  The gate is what grouping *does*, not how slow
   the ungrouped path is: under 8 writers a batch carries **≥ 4 records**
-  and every batch costs exactly **one fsync**.  Both absolute round-trip
-  rates are recorded; their ratio is recorded but not gated — a ratio
-  against the single-writer path falls whenever that path's per-commit
-  cost does, with both rates up.  The instance is preloaded with ~50k
-  facts first so per-commit costs are realistic.
+  and every batch costs exactly **one fsync**.  The instance is preloaded
+  with ~50k facts first so per-commit costs are realistic.
 * **replication** — a :class:`~repro.serving.replication.ReplicaDaemon`
-  seeded from the primary's shipped snapshot tails the segment chain; the
-  benchmark reports the replication lag measured right after the write
-  burst and the catch-up time, and gates on the differential check: the
-  caught-up replica answers pinned reads identically to the primary.
+  seeded from the primary's shipped snapshot tails the segment chain and
+  must catch up; the gate is the differential check: the caught-up
+  replica answers pinned reads identically to the primary.
 
 Both legs run against the **same** primary daemon: the single-writer
 burst first, then the grouped burst, each measured from the daemon's own
 group-commit stats deltas, then the replica is seeded from that daemon's
 shipped files.
 
-The numbers land in ``BENCH_replication.json`` (with run history).
-``REPRO_BENCH_SMOKE=1`` shrinks the preload and bursts for CI and skips
-the gate and the artifact write.
+What the serving tier costs is measured by ``bench/run.py`` (paired
+runs), not here.  ``REPRO_BENCH_SMOKE=1`` shrinks the preload and bursts
+for CI and skips the records-per-batch gate.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
@@ -42,9 +37,6 @@ from pathlib import Path
 import repro
 from repro.serving import ReplicaDaemon, ServingClient
 from repro.serving.daemon import ProgramBackend
-
-ARTIFACT = Path(__file__).resolve().parent.parent / \
-    "BENCH_replication.json"
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 WRITERS = 8
@@ -92,15 +84,12 @@ def _shutdown(client: ServingClient, process: subprocess.Popen) -> None:
             process.wait(timeout=30)
 
 
-def _preload(client: ServingClient, facts: int) -> float:
-    """Grow the instance so per-commit fixed costs are realistic; returns
-    the wall seconds spent."""
-    start = time.perf_counter()
+def _preload(client: ServingClient, facts: int) -> None:
+    """Grow the instance so per-commit fixed costs are realistic."""
     for low in range(0, facts, PRELOAD_CHUNK):
         client.add_facts([("Base", (f"preload{index}", "b"))
                           for index in range(low, min(low + PRELOAD_CHUNK,
                                                       facts))])
-    return time.perf_counter() - start
 
 
 #: Each writer is its own OS process — concurrent writers in one Python
@@ -180,42 +169,30 @@ def _measured_burst(client: ServingClient, data_dir: Path, writers: int,
 
 
 def _replica_leg(tmp_path: Path, data_dir: Path,
-                 client: ServingClient) -> dict:
-    """Seed a replica off the primary's shipped files, measure lag and
-    catch-up, and gate on read fidelity."""
+                 client: ServingClient) -> None:
+    """Seed a replica off the primary's shipped files, let it catch up,
+    and gate on read fidelity."""
     assert client.checkpoint()["checkpointed"]  # ship a snapshot to seed
     client.add_facts([("Link", ("b", "t_tail"))])  # a WAL tail to tail
     replica = ReplicaDaemon(ProgramBackend(None), data_dir,
                             tmp_path / "replica")
     try:
         replica.recover()
-        lag_after_burst = replica.replication_status()["lag_records"]
-        start = time.perf_counter()
-        remaining = replica.catch_up(timeout=60.0)
-        catch_up_seconds = time.perf_counter() - start
-        assert remaining == 0, "the replica never caught up"
+        assert replica.catch_up(timeout=60.0) == 0, \
+            "the replica never caught up"
 
         # The differential gate: pinned reads on the replica answer
         # exactly what the primary answers.
         with replica.backend.session.read() as txn:
             for query in QUERIES:
                 assert txn.answers(query) == client.answers(query)
-        status = replica.replication_status()
-        return {
-            "seed_lag_records": lag_after_burst,
-            "catch_up_seconds": round(catch_up_seconds, 6),
-            "records_replayed": status["records_replayed"],
-            "final_lag_records": status["lag_records"],
-            "reseeds": status["reseeds"],
-            "pinned_reads_match_primary": True,
-        }
     finally:
         replica.stop()
 
 
 def test_group_commit_and_replica_fidelity(tmp_path):
     """≥4 records per batch under 8 writers, one fsync per batch; replica
-    ≡ primary; JSON."""
+    ≡ primary."""
     program_file = tmp_path / "program.dlg"
     program_file.write_text(PROGRAM_TEXT, encoding="utf-8")
     data_dir = tmp_path / "primary"
@@ -228,12 +205,12 @@ def test_group_commit_and_replica_fidelity(tmp_path):
             process.wait(timeout=30)
         raise
     try:
-        preload_seconds = _preload(client, PRELOAD_FACTS)
+        _preload(client, PRELOAD_FACTS)
         single = _measured_burst(client, data_dir, writers=1,
                                  writes_each=SINGLE_WRITES)
         grouped = _measured_burst(client, data_dir, writers=WRITERS,
                                   writes_each=GROUPED_WRITES_PER_WRITER)
-        replication = _replica_leg(tmp_path, data_dir, client)
+        _replica_leg(tmp_path, data_dir, client)
     finally:
         _shutdown(client, process)
 
@@ -243,37 +220,3 @@ def test_group_commit_and_replica_fidelity(tmp_path):
     assert grouped["records_per_batch"] >= MIN_RECORDS_PER_BATCH, (
         f"{WRITERS} writers only grouped {grouped['records_per_batch']} "
         f"records per batch ({grouped['commit_batches']} batches)")
-    speedup = grouped["roundtrips_per_second"] / \
-        max(1e-9, single["roundtrips_per_second"])
-
-    if SMOKE:
-        return  # tiny bursts would pollute the recorded history
-
-    history = []
-    if ARTIFACT.exists():
-        try:
-            history = json.loads(
-                ARTIFACT.read_text(encoding="utf-8")).get("runs", [])
-        except (json.JSONDecodeError, AttributeError):
-            history = []
-    run_record = {
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "single_writer": single,
-        "grouped": grouped,
-        "speedup": round(speedup, 2),
-        "replication": replication,
-    }
-    history = (history + [run_record])[-20:]
-    ARTIFACT.write_text(json.dumps({
-        "experiment": "E17-replication",
-        "writers": WRITERS,
-        "preload_facts": PRELOAD_FACTS,
-        "preload_seconds": round(preload_seconds, 3),
-        "single_writer": single,
-        "grouped": grouped,
-        "speedup": round(speedup, 2),
-        "min_records_per_batch_gate": MIN_RECORDS_PER_BATCH,
-        "replication": replication,
-        "runs": history,
-    }, indent=2) + "\n", encoding="utf-8")
-    assert ARTIFACT.exists()

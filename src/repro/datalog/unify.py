@@ -11,8 +11,7 @@ relations row by row and join body atoms in the order given.  They are the
 **reference oracle**: the production evaluators go through the indexed
 matching engine of :mod:`repro.engine.matching`, which is differentially
 tested against this module (see ``docs/ARCHITECTURE.md``).  Select the
-naive path engine-wide with ``repro.engine.set_default_engine("naive")`` or
-per call with ``engine="naive"``.
+naive path per call with ``engine="naive"``.
 """
 
 from __future__ import annotations

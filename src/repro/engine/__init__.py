@@ -18,16 +18,15 @@ single fast matching engine under all of them:
   lists otherwise).
 
 Engine selection: evaluators take an ``engine=`` argument (``"indexed"``,
-``"naive"`` or ``"columnar"``); when omitted they use the process-wide
-default, settable with :func:`set_default_engine` — handy to flip an entire
-pipeline onto the naive reference when debugging, or onto the columnar path
-for batch-heavy workloads.  See ``docs/ARCHITECTURE.md``.
+``"naive"`` or ``"columnar"``); when omitted they use ``"indexed"``.  Pass
+``engine="naive"`` to run a call on the row-by-row reference when
+debugging, or ``engine="columnar"`` for batch-heavy workloads.  See
+``docs/ARCHITECTURE.md``.
 """
 
 from .matching import (COLUMNAR, INDEXED, NAIVE, DeltaJoinPlan,
                        IndexedMatcher, Matcher, NaiveMatcher,
-                       get_default_engine, iter_delta_joins, matcher_for,
-                       resolve_engine, set_default_engine)
+                       iter_delta_joins, matcher_for, resolve_engine)
 from .stats import EngineStats
 from .versioning import InstanceVersion, ReadTransaction, VersionStore
 
@@ -46,7 +45,7 @@ __all__ = [
     "Matcher", "IndexedMatcher", "NaiveMatcher",
     "INDEXED", "NAIVE", "COLUMNAR",
     *_COLUMNAR_EXPORTS,
-    "matcher_for", "resolve_engine", "get_default_engine", "set_default_engine",
+    "matcher_for", "resolve_engine",
     "iter_delta_joins", "DeltaJoinPlan",
     "VersionStore", "InstanceVersion", "ReadTransaction",
     *_SESSION_EXPORTS,

@@ -62,26 +62,12 @@ NAIVE = "naive"
 COLUMNAR = "columnar"
 
 _ENGINES = (INDEXED, NAIVE, COLUMNAR)
-_default_engine = INDEXED
-
-
-def set_default_engine(engine: str) -> None:
-    """Set the process-wide default engine (one of ``_ENGINES``)."""
-    global _default_engine
-    if engine not in _ENGINES:
-        raise ValueError(f"unknown engine {engine!r}; known engines: {_ENGINES}")
-    _default_engine = engine
-
-
-def get_default_engine() -> str:
-    """The current process-wide default engine."""
-    return _default_engine
 
 
 def resolve_engine(engine: Optional[str]) -> str:
-    """Resolve an ``engine=`` argument: ``None`` means the default."""
+    """Resolve an ``engine=`` argument: ``None`` means ``INDEXED``."""
     if engine is None:
-        return _default_engine
+        return INDEXED
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}; known engines: {_ENGINES}")
     return engine

@@ -6,10 +6,12 @@ This package turns a materialized session into an operable service:
   (torn-tail detection, crash-point fault injection);
 * :mod:`repro.serving.compaction` — checkpoint/compaction policies and the
   data-directory layout;
-* :mod:`repro.serving.daemon` — the server process: recover (snapshot ⊕
-  WAL replay), serve sessions over a line-JSON socket protocol, group-
-  commit concurrent writers, checkpoint inline (``python -m
-  repro.serving.daemon`` to run one);
+* :mod:`repro.serving.core` — what both daemons share: the line-JSON
+  protocol's op table, the auth gate, per-connection pins, the socket
+  server and its lifecycle;
+* :mod:`repro.serving.daemon` — the primary: recover (snapshot ⊕ WAL
+  replay), group-commit concurrent writers, checkpoint inline (``python
+  -m repro.serving.daemon`` to run one);
 * :mod:`repro.serving.replication` — log-shipping read replicas: a
   :class:`ReplicaDaemon` tails the primary's shipped segments, replays
   them through the maintained-answer path and serves pinned-version reads

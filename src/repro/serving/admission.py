@@ -113,10 +113,6 @@ class Authenticator:
             token = token.encode("utf-8")
         self._token = token
 
-    @classmethod
-    def from_file(cls, path: Optional[PathLike]) -> "Authenticator":
-        return cls(load_token(path) if path is not None else None)
-
     @property
     def required(self) -> bool:
         return self._token is not None

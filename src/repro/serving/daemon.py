@@ -26,12 +26,8 @@ and makes it durable and network-reachable:
   write path when the compaction policy fires, and on demand via the
   ``checkpoint`` request.
 
-Protocol: one JSON object per line (UTF-8, ``\\n``-terminated) in both
-directions.  Requests carry ``op`` plus arguments and an optional ``id``;
-responses are ``{"ok": true, "result": ...}`` or ``{"ok": false,
-"error": ..., "error_type": ...}``, echoing the ``id``.  The
-:mod:`repro.serving.client` module wraps this in the in-process session
-API.
+The line-JSON protocol, its op table and the socket lifecycle live in
+:mod:`repro.serving.core`, shared with the read replica.
 
 Run standalone with::
 
@@ -44,10 +40,7 @@ which serves the hospital scenario's quality session by default (pass
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import signal
-import socketserver
 import sys
 import threading
 import time
@@ -57,22 +50,18 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 from ..datalog.chase import Fact
 from ..datalog.parser import parse_program
 from ..engine.session import MaterializedProgram, UpdateResult
-from ..engine.snapshot import encode_row, load_program, wal_position
-from ..engine.stats import ServingStats
-from ..errors import (ArityError, AuthenticationError, DaemonShutdownError,
-                      RequestTooLargeError, ServerBusyError, ServingError,
-                      ServingProtocolError, UnknownRelationError,
-                      WALCorruptionError)
-from .admission import (UNAUTHENTICATED_OPS, AdmissionPolicy, Authenticator,
-                        load_token)
-from .compaction import (CompactionPolicy, address_path, latest_snapshot,
-                         list_segments, prune_snapshots,
-                         run_checkpoint, segment_path, snapshot_path)
-from .wal import (OP_ADD, OP_RETRACT, AppendedFrame, WALRecord, WriteAheadLog,
-                  decode_facts, maybe_crash, maybe_stall, scan_wal)
+from ..engine.snapshot import load_program, wal_position
+from ..errors import (ArityError, DaemonShutdownError, ServerBusyError,
+                      ServingError, UnknownRelationError, WALCorruptionError)
+from .admission import AdmissionPolicy, load_token
+from .compaction import (CompactionPolicy, latest_snapshot, list_segments,
+                         prune_snapshots, run_checkpoint, segment_path,
+                         snapshot_path)
+from .core import ConnectionState, ServingCore
+from .wal import (OP_ADD, AppendedFrame, WALRecord, WriteAheadLog,
+                  maybe_crash, maybe_stall, scan_wal)
 
 PathLike = Union[str, Path]
-PROTOCOL_VERSION = 1
 
 
 def _summarize(updates: List[UpdateResult], version: int) -> Dict[str, Any]:
@@ -176,11 +165,7 @@ class ProgramBackend(_MaterializedBackend):
         return self.materialized.queries()
 
     def apply(self, record: WALRecord) -> Dict[str, Any]:
-        if record.op == OP_ADD:
-            update = self.materialized.add_facts(record.facts)
-        else:
-            update = self.materialized.retract_facts(record.facts)
-        return _summarize([update], self.version)
+        return self.apply_many([record])
 
     def apply_many(self, records: List[WALRecord]) -> Dict[str, Any]:
         """Apply a contiguous same-op run of records as one session update
@@ -188,11 +173,9 @@ class ProgramBackend(_MaterializedBackend):
         commit.  A failure may leave partial in-memory state; the daemon
         rebuilds from disk and retries record-at-a-time."""
         facts = [fact for record in records for fact in record.facts]
-        if records[0].op == OP_ADD:
-            update = self.materialized.add_facts(facts)
-        else:
-            update = self.materialized.retract_facts(facts)
-        return _summarize([update], self.version)
+        apply = self.materialized.add_facts if records[0].op == OP_ADD \
+            else self.materialized.retract_facts
+        return _summarize([apply(facts)], self.version)
 
     def stats(self) -> Dict[str, Any]:
         return {"program": self.materialized.stats.as_dict(),
@@ -240,25 +223,22 @@ class QualityBackend(_MaterializedBackend):
         return self.quality_session.query_session
 
     def apply(self, record: WALRecord) -> Dict[str, Any]:
+        return self._apply_run([record])
+
+    def apply_many(self, records: List[WALRecord]) -> Dict[str, Any]:
+        """Apply a contiguous same-op run of records in one pass, so each
+        touched relation publishes once.  A failure may leave partial
+        in-memory state; the daemon rebuilds from disk and retries
+        record-at-a-time."""
+        return self._apply_run(records)
+
+    # apply and apply_many share this body rather than calling each
+    # other, so a per-method wrapper (bench/trace.py) times each call once.
+    def _apply_run(self, records: List[WALRecord]) -> Dict[str, Any]:
         # Records go through the quality session (not the bare program) so
         # the instance under assessment and the dirty tracking stay in
         # sync.  Facts are grouped per relation in first-occurrence order —
         # the same deterministic order at live-apply and replay time.
-        groups: Dict[str, List[Tuple]] = {}
-        for predicate, row in record.facts:
-            groups.setdefault(predicate, []).append(row)
-        apply_one = self.quality_session.add_facts if record.op == OP_ADD \
-            else self.quality_session.retract_facts
-        updates = [apply_one(predicate, rows)
-                   for predicate, rows in groups.items()]
-        return _summarize(updates, self.version)
-
-    def apply_many(self, records: List[WALRecord]) -> Dict[str, Any]:
-        """Apply a contiguous same-op run of records in one pass: facts
-        from the whole run are grouped per relation (first-occurrence
-        order, as in :meth:`apply`) so each touched relation publishes
-        once.  A failure may leave partial in-memory state; the daemon
-        rebuilds from disk and retries record-at-a-time."""
         groups: Dict[str, List[Tuple]] = {}
         for record in records:
             for predicate, row in record.facts:
@@ -288,112 +268,6 @@ class QualityBackend(_MaterializedBackend):
                 "quality": self.quality_session.stats.as_dict()}
 
 
-# ---------------------------------------------------------------------------
-# Connection state (per-client pins)
-# ---------------------------------------------------------------------------
-
-
-class ConnectionState:
-    """Per-connection serving state: the pins a client holds (released
-    when the connection closes), its auth-handshake progress, and how
-    many of its writes are currently queued or in flight."""
-
-    def __init__(self, store):
-        self._store = store
-        self._pins: Dict[int, List[Any]] = {}
-        self.closing = False
-        #: set once the shared-secret handshake succeeds (or when the
-        #: daemon requires no auth — the gate checks the requirement)
-        self.authenticated = False
-        #: the outstanding single-use auth nonce (``None`` = none issued,
-        #: or the last one was consumed by an ``auth`` attempt)
-        self.auth_nonce: Optional[str] = None
-        #: writes from this connection sitting in (or moving through)
-        #: the commit queue; bounded by the admission policy
-        self.inflight_writes = 0
-
-    def pin(self, version: Optional[int] = None) -> int:
-        pinned = self._store.pin(version)
-        self._pins.setdefault(pinned.version, []).append(pinned)
-        return pinned.version
-
-    def unpin(self, version: int) -> None:
-        held = self._pins.get(version)
-        if not held:
-            raise ServingProtocolError(
-                f"this connection holds no pin on version {version}")
-        self._store.unpin(held.pop())
-        if not held:
-            del self._pins[version]
-
-    def release_all(self) -> None:
-        for held in self._pins.values():
-            for pinned in held:
-                try:
-                    self._store.unpin(pinned)
-                except Exception:  # pragma: no cover - store already gone
-                    pass
-        self._pins.clear()
-
-
-def _error_response(request_id: Any, exc: BaseException) -> Dict[str, Any]:
-    """The wire shape of a refused/failed request.  Typed refusals carry
-    their class name in ``error_type`` (the client re-raises them as the
-    same class) and busy refusals additionally carry ``retry_after``."""
-    response = {"ok": False, "id": request_id, "error": str(exc),
-                "error_type": type(exc).__name__}
-    retry_after = getattr(exc, "retry_after", None)
-    if retry_after is not None:
-        response["retry_after"] = retry_after
-    return response
-
-
-def check_authenticated(daemon, op: str, connection: ConnectionState) -> None:
-    """Refuse ``op`` on an unauthenticated connection (both daemons).
-
-    Liveness (``ping``) and the handshake itself stay reachable; every
-    other operation — reads, writes, pins, stats, quality — is refused
-    with a typed :class:`~repro.errors.AuthenticationError` and counted.
-    A daemon with no token configured requires nothing."""
-    if not daemon.authenticator.required or connection.authenticated:
-        return
-    if op in UNAUTHENTICATED_OPS:
-        return
-    daemon.serving_stats.auth_failures += 1
-    raise AuthenticationError(
-        f"request {op!r} refused: this daemon requires authentication "
-        "(complete the auth_challenge + auth handshake first)")
-
-
-def handle_auth_op(daemon, op: str, request: Dict[str, Any],
-                   connection: ConnectionState) -> Optional[Dict[str, Any]]:
-    """Serve the two handshake operations; ``None`` for any other op.
-
-    ``auth_challenge`` issues a fresh single-use nonce (replacing any
-    outstanding one); ``auth`` verifies the client's HMAC over it in
-    constant time.  The nonce is consumed by the attempt whatever the
-    outcome, so a captured or replayed MAC never verifies twice."""
-    if op == "auth_challenge":
-        if not daemon.authenticator.required:
-            return {"required": False, "nonce": None}
-        connection.auth_nonce = daemon.authenticator.challenge()
-        return {"required": True, "nonce": connection.auth_nonce}
-    if op == "auth":
-        if not daemon.authenticator.required:
-            connection.authenticated = True
-            return {"authenticated": True, "required": False}
-        nonce, connection.auth_nonce = connection.auth_nonce, None
-        if daemon.authenticator.verify(nonce, request.get("mac")):
-            connection.authenticated = True
-            return {"authenticated": True, "required": True}
-        daemon.serving_stats.auth_failures += 1
-        raise AuthenticationError(
-            "authentication failed: missing, wrong or replayed credential; "
-            "request a fresh auth_challenge and answer it with "
-            "HMAC-SHA256(token, nonce)")
-    return None
-
-
 class _CommitEntry:
     """One writer's update waiting in (or moving through) the commit queue."""
 
@@ -412,42 +286,29 @@ class _CommitEntry:
 # ---------------------------------------------------------------------------
 
 
-class ServingDaemon:
-    """Recover a backend from its data directory and serve it."""
+class ServingDaemon(ServingCore):
+    """Recover a backend from its data directory and serve it: the
+    primary role of :class:`~repro.serving.core.ServingCore`, adding the
+    WAL, the group-commit pipeline and checkpoints."""
+
+    role = "primary"
 
     def __init__(self, backend, data_dir: PathLike, sync: bool = True,
                  policy: Optional[CompactionPolicy] = None,
                  commit_delay: float = 0.01,
                  admission: Optional[AdmissionPolicy] = None,
                  auth_token: Optional[Union[str, bytes]] = None):
-        self.backend = backend
-        self.data_dir = Path(data_dir)
-        self.data_dir.mkdir(parents=True, exist_ok=True)
+        super().__init__(backend, data_dir, admission=admission,
+                         auth_token=auth_token)
         self.sync = sync
         self.policy = policy or CompactionPolicy()
         #: upper bound on how long the committer waits for followers to
         #: fill a batch once concurrency has been observed (0 disables it)
         self.commit_delay = commit_delay
-        #: per-request limits enforced before validation and logging
-        self.admission = admission or AdmissionPolicy()
-        #: the shared-secret gate (``auth_token=None`` leaves it open)
-        self.authenticator = Authenticator(auth_token)
-        #: serializes writers and checkpoints (readers never take it)
-        self._lock = threading.RLock()
         self._wal: Optional[WriteAheadLog] = None
         self.last_lsn = 0
         self.records_since_checkpoint = 0
         self.last_checkpoint_error: Optional[str] = None
-        #: durability/group-commit counters (surfaced by the stats op)
-        self.serving_stats = ServingStats()
-        #: the report of the last :meth:`recover` run
-        self.recovery: Optional[Dict[str, Any]] = None
-        self._server: Optional["_LineServer"] = None
-        self._thread: Optional[threading.Thread] = None
-        self._default_connection: Optional[ConnectionState] = None
-        #: live socket connections (their pins are released on stop())
-        self._connections: Dict[int, ConnectionState] = {}
-        self._connections_lock = threading.Lock()
         # Group commit: writers enqueue under _commit_mutex and block on
         # their entry's event; a dedicated committer thread (started by
         # recover()) drains the queue in batches.  The committer must NOT
@@ -912,170 +773,47 @@ class ServingDaemon:
             self.last_checkpoint_error = None
             return {"checkpointed": True, "snapshot_lsn": self.last_lsn}
 
-    # -- request dispatch ----------------------------------------------------
+    # -- the primary's part of the protocol ----------------------------------
 
-    def handle(self, request: Dict[str, Any],
-               connection: Optional[ConnectionState] = None) -> Dict[str, Any]:
-        """Serve one protocol request; never raises (errors become
-        ``{"ok": false}`` responses so a bad request cannot kill the
-        daemon)."""
-        request_id = request.get("id") if isinstance(request, dict) else None
-        try:
-            if not isinstance(request, dict) or "op" not in request:
-                raise ServingProtocolError(
-                    'requests are JSON objects with an "op" field')
-            result = self._dispatch(request,
-                                    connection or self._default_connection)
-            return {"ok": True, "id": request_id, "result": result}
-        except Exception as exc:  # noqa: BLE001 - protocol boundary
-            return _error_response(request_id, exc)
+    # Bound on this class itself so a per-class wrapper of
+    # ``ServingDaemon.handle`` (bench/trace.py) sees the primary's requests.
+    handle = ServingCore.handle
 
-    def _dispatch(self, request: Dict[str, Any],
-                  connection: ConnectionState) -> Dict[str, Any]:
-        op = request["op"]
-        backend = self.backend
-        check_authenticated(self, op, connection)
-        handshake = handle_auth_op(self, op, request, connection)
-        if handshake is not None:
-            return handshake
-        if op == "ping":
-            return {"pong": True, "kind": backend.kind,
-                    "protocol_version": PROTOCOL_VERSION,
+    def _ping_fields(self) -> Dict[str, Any]:
+        return {"lsn": self.last_lsn}
+
+    def _serving_slot(self) -> Dict[str, Any]:
+        with self._lock:
+            return {
+                "lsn": self.last_lsn,
+                "wal_base_lsn": self._wal.base_lsn if self._wal else None,
+                "wal_bytes": self._wal.size_bytes if self._wal else 0,
+                "wal_segments": len(list_segments(self.data_dir)),
+                "records_since_checkpoint": self.records_since_checkpoint,
+                "last_checkpoint_error": self.last_checkpoint_error,
+                "live_versions": self.backend.versions.live_versions(),
+                "group_commit": self.serving_stats.as_dict(),
+                "admission": {
+                    "queue_depth": len(self._commit_queue),
+                    "queue_peak": self.queue_peak,
+                    "queue_cap": self.admission.queue_cap,
+                    "max_request_bytes": self.admission.max_request_bytes,
+                    "max_facts_per_write":
+                        self.admission.max_facts_per_write,
+                    "max_inflight_per_connection":
+                        self.admission.max_inflight_per_connection,
                     "auth_required": self.authenticator.required,
-                    "version": backend.version, "lsn": self.last_lsn}
-        if op == "answers":
-            with backend.session.read(request.get("version")) as txn:
-                rows = txn.answers(request["query"],
-                                   allow_nulls=bool(request.get("allow_nulls")))
-                return {"rows": [encode_row(row) for row in rows],
-                        "version": txn.version}
-        if op == "holds":
-            with backend.session.read(request.get("version")) as txn:
-                return {"holds": txn.holds(request["query"]),
-                        "version": txn.version}
-        if op in ("add_facts", "retract_facts"):
-            facts = decode_facts(request.get("facts") or [])
-            return self.apply_write(
-                OP_ADD if op == "add_facts" else OP_RETRACT, facts,
-                connection=connection)
-        if op == "pin":
-            return {"version": connection.pin(request.get("version"))}
-        if op == "unpin":
-            connection.unpin(int(request["version"]))
-            return {"unpinned": int(request["version"])}
-        if op == "checkpoint":
-            return self.checkpoint()
-        if op == "stats":
-            stats = backend.stats()
-            with self._lock:
-                stats["serving"] = {
-                    "lsn": self.last_lsn,
-                    "wal_base_lsn": self._wal.base_lsn if self._wal else None,
-                    "wal_bytes": self._wal.size_bytes if self._wal else 0,
-                    "wal_segments": len(list_segments(self.data_dir)),
-                    "records_since_checkpoint": self.records_since_checkpoint,
-                    "last_checkpoint_error": self.last_checkpoint_error,
-                    "live_versions": backend.versions.live_versions(),
-                    "group_commit": self.serving_stats.as_dict(),
-                    "admission": {
-                        "queue_depth": len(self._commit_queue),
-                        "queue_peak": self.queue_peak,
-                        "queue_cap": self.admission.queue_cap,
-                        "max_request_bytes":
-                            self.admission.max_request_bytes,
-                        "max_facts_per_write":
-                            self.admission.max_facts_per_write,
-                        "max_inflight_per_connection":
-                            self.admission.max_inflight_per_connection,
-                        "auth_required": self.authenticator.required,
-                    },
-                }
-            return stats
-        if op == "recovery":
-            return dict(self.recovery or {})
-        if op == "quality_answers":
-            self._require_quality(op)
-            # Quality-layer reads serialize with writers: unlike the MVCC
-            # answers/holds path, quality versions, assessments and the
-            # instance under assessment are unversioned state that
-            # apply_write mutates in place.
-            with self._lock:
-                rows = backend.quality_answers(request["query"])
-            return {"rows": [encode_row(row) for row in rows]}
-        if op == "quality_version":
-            self._require_quality(op)
-            with self._lock:
-                rows = backend.quality_version(request["relation"])
-            return {"rows": [encode_row(row) for row in rows]}
-        if op == "assess":
-            self._require_quality(op)
-            with self._lock:
-                return backend.assess()
-        if op == "shutdown":
-            connection.closing = True
-            self._async_stop()
-            return {"stopping": True}
-        raise ServingProtocolError(f"unknown request op {op!r}")
-
-    def _require_quality(self, op: str) -> None:
-        if not hasattr(self.backend, "quality_answers"):
-            raise ServingProtocolError(
-                f"request {op!r} needs a quality backend, but this daemon "
-                "serves a plain program (start it with --hospital or a "
-                "QualityBackend)")
-
-    # -- network lifecycle ---------------------------------------------------
-
-    def start(self, host: str = "127.0.0.1", port: int = 0
-              ) -> Tuple[str, int]:
-        """Bind, start serving in a background thread, and advertise the
-        address in ``<data_dir>/daemon.json`` (atomic write)."""
-        if self._server is not None:
-            raise ServingError("the daemon is already serving")
-        self._server = _LineServer((host, port), self)
-        bound_host, bound_port = self._server.server_address[:2]
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name="repro-serving-daemon",
-                                        daemon=True)
-        self._thread.start()
-        address = address_path(self.data_dir)
-        temp = address.with_name(address.name + ".tmp")
-        temp.write_text(json.dumps({
-            "host": bound_host, "port": bound_port, "pid": os.getpid(),
-            "kind": self.backend.kind, "role": "primary",
-            "protocol_version": PROTOCOL_VERSION,
-        }), encoding="utf-8")
-        os.replace(temp, address)
-        return bound_host, bound_port
-
-    def wait(self) -> None:
-        """Block until the serving thread exits (stop() from elsewhere)."""
-        if self._thread is not None:
-            while self._thread.is_alive():
-                self._thread.join(timeout=0.5)
-
-    def _async_stop(self) -> None:
-        threading.Thread(target=self.stop, name="repro-serving-stop",
-                         daemon=True).start()
-
-    def _register_connection(self, connection: ConnectionState) -> None:
-        with self._connections_lock:
-            self._connections[id(connection)] = connection
-
-    def _unregister_connection(self, connection: ConnectionState) -> None:
-        with self._connections_lock:
-            self._connections.pop(id(connection), None)
+                },
+            }
 
     def stop(self) -> None:
-        """Stop serving, release every pin still held on the daemon's
-        behalf, and close the WAL handle — exactly once (idempotent).
+        """Stop committing and serving, release every pin still held on
+        the daemon's behalf, and close the WAL handle — exactly once
+        (idempotent).
 
         Runs the same way whether called directly, from the ``shutdown``
         request, or from a ``finally`` after ``serve_forever`` exits via
-        an exception: live connections' pins are released even when their
-        handler threads never got to run their own cleanup, so no
-        superseded version can stay pinned (and uncollectable) past
-        stop()."""
+        an exception."""
         with self._commit_ready:
             self._commit_stop = True
             self._commit_ready.notify_all()
@@ -1094,34 +832,11 @@ class ServingDaemon:
             for entry in stranded:
                 entry.error = error
                 entry.event.set()
-        server, self._server = self._server, None
-        if server is not None:
-            server.shutdown()
-            server.server_close()
-        try:
-            address_path(self.data_dir).unlink()
-        except OSError:
-            pass
-        with self._connections_lock:
-            connections = list(self._connections.values())
-            self._connections.clear()
-        for connection in connections:
-            connection.release_all()
+        super().stop()
         with self._lock:
-            if self._default_connection is not None:
-                self._default_connection.release_all()
             wal, self._wal = self._wal, None
             if wal is not None:
                 wal.close()
-
-    def close(self) -> None:
-        self.stop()
-
-    def __enter__(self) -> "ServingDaemon":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ServingDaemon({self.backend.kind!r}, "
@@ -1129,115 +844,66 @@ class ServingDaemon:
 
 
 # ---------------------------------------------------------------------------
-# Socket plumbing
-# ---------------------------------------------------------------------------
-
-
-class _LineServer(socketserver.ThreadingTCPServer):
-    allow_reuse_address = True
-    daemon_threads = True
-
-    def __init__(self, address: Tuple[str, int], daemon: ServingDaemon):
-        self.serving_daemon = daemon
-        super().__init__(address, _LineHandler)
-
-
-def _read_request_line(rfile, limit: int) -> Tuple[Optional[bytes], bool]:
-    """One protocol line, reading at most ``limit`` bytes of it.
-
-    Returns ``(line, oversized)``.  ``line is None`` means EOF (the
-    client went away — a line cut short by EOF counts, since it can
-    never complete).  An oversized line — longer than ``limit`` bytes
-    including the newline — is **drained** in bounded chunks and
-    reported as ``(None-content, True)``: the daemon never buffers more
-    than ``limit`` bytes for one request, no matter what a poisoned
-    client streams at it, and the connection stays usable afterwards."""
-    line = rfile.readline(limit + 1) if limit else rfile.readline()
-    if not line:
-        return None, False
-    if len(line) <= limit or not limit:
-        if line.endswith(b"\n"):
-            return line, False
-        return None, False  # EOF mid-line: the request can never complete
-    # Over the cap: throw away the rest of the line, chunk by chunk.
-    while not line.endswith(b"\n"):
-        line = rfile.readline(65536)
-        if not line:
-            break
-    return b"", True
-
-
-class _LineHandler(socketserver.StreamRequestHandler):
-    def handle(self) -> None:
-        daemon = self.server.serving_daemon
-        connection = ConnectionState(daemon.backend.versions)
-        daemon._register_connection(connection)
-        try:
-            while True:
-                limit = daemon.admission.max_request_bytes
-                raw, oversized = _read_request_line(self.rfile, limit)
-                if oversized:
-                    # Shed before parsing: one poisoned oversized request
-                    # costs its own connection a refusal, never the
-                    # daemon's memory or the other sessions' latency.
-                    daemon.serving_stats.requests_shed += 1
-                    response = _error_response(None, RequestTooLargeError(
-                        f"request line exceeds this daemon's "
-                        f"max_request_bytes={limit}; the line was "
-                        "discarded unparsed"))
-                elif raw is None:
-                    break
-                else:
-                    line = raw.strip()
-                    if not line:
-                        continue
-                    try:
-                        request = json.loads(line.decode("utf-8"))
-                    except (json.JSONDecodeError, UnicodeDecodeError):
-                        response = {"ok": False, "id": None,
-                                    "error": "request is not a JSON line",
-                                    "error_type": "ServingProtocolError"}
-                    else:
-                        response = daemon.handle(request, connection)
-                self.wfile.write(
-                    (json.dumps(response, separators=(",", ":")) + "\n")
-                    .encode("utf-8"))
-                self.wfile.flush()
-                if connection.closing:
-                    break
-        except (BrokenPipeError, ConnectionResetError):  # pragma: no cover
-            pass
-        finally:
-            daemon._unregister_connection(connection)
-            connection.release_all()
-
-
-# ---------------------------------------------------------------------------
 # Command line
 # ---------------------------------------------------------------------------
 
 
-def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serving.daemon",
-        description="Serve a materialized Datalog± session over snapshots "
-                    "and a write-ahead log.")
-    parser.add_argument("--data-dir", required=True,
-                        help="directory for snapshots + WAL (created if "
-                             "missing); restart with the same directory to "
-                             "recover")
+def serving_parser(prog: str, description: str) -> argparse.ArgumentParser:
+    """A parser with the arguments both daemons' command lines share."""
+    parser = argparse.ArgumentParser(prog=prog, description=description)
     parser.add_argument("--host", default="127.0.0.1")
     parser.add_argument("--port", type=int, default=0,
                         help="0 = pick a free port (advertised in "
                              "<data-dir>/daemon.json)")
     parser.add_argument("--program", metavar="FILE",
-                        help="serve this Datalog± program text instead of "
-                             "the default hospital quality session")
+                        help="serve this Datalog± program text (a replica "
+                             "verifies the shipped snapshots against it)")
     parser.add_argument("--scenario", metavar="NAME",
                         help="serve a registered quality scenario "
                              "(hospital, sensornet, fincompliance); "
                              "mutually exclusive with --program")
     parser.add_argument("--engine", choices=("indexed", "naive", "columnar"))
+    parser.add_argument("--max-request-bytes", type=int,
+                        default=AdmissionPolicy().max_request_bytes,
+                        metavar="BYTES",
+                        help="longest accepted protocol line; longer "
+                             "requests are drained and refused unparsed "
+                             "(0 disables the cap)")
+    parser.add_argument("--auth-token-file", metavar="FILE",
+                        help="require the shared-secret auth handshake, "
+                             "with the token read from FILE (whitespace "
+                             "stripped); without it the daemon is open")
+    parser.add_argument("--quiet", action="store_true")
+    return parser
+
+
+def backend_from_args(args: argparse.Namespace,
+                      default_scenario: Optional[str] = None):
+    """The backend a :func:`serving_parser` command line asks for:
+    ``--program`` text, else ``--scenario`` (or ``default_scenario``),
+    else a program backend that takes its rules from the snapshot."""
+    if args.program and args.scenario:
+        raise SystemExit("--program and --scenario are mutually exclusive")
+    if args.program:
+        text = Path(args.program).read_text(encoding="utf-8")
+        return ProgramBackend(parse_program(text), engine=args.engine)
+    scenario = args.scenario or default_scenario
+    if scenario is None:
+        return ProgramBackend(None, engine=args.engine)
+    from ..scenarios import build_scenario
+    return build_scenario(scenario).serving_backend(engine=args.engine)
+
+
+def _build_parser() -> argparse.ArgumentParser:
+    parser = serving_parser(
+        "python -m repro.serving.daemon",
+        "Serve a materialized Datalog± session over snapshots and a "
+        "write-ahead log (the hospital quality session unless --program "
+        "or --scenario says otherwise).")
+    parser.add_argument("--data-dir", required=True,
+                        help="directory for snapshots + WAL (created if "
+                             "missing); restart with the same directory to "
+                             "recover")
     parser.add_argument("--no-sync", action="store_true",
                         help="skip fsync on WAL appends (faster; durable "
                              "against process crashes, not power loss)")
@@ -1252,11 +918,6 @@ def _build_parser() -> argparse.ArgumentParser:
                              "(0 disables the wait; solo writers never pay "
                              "it)")
     defaults = AdmissionPolicy()
-    parser.add_argument("--max-request-bytes", type=int,
-                        default=defaults.max_request_bytes, metavar="BYTES",
-                        help="longest accepted protocol line; longer "
-                             "requests are drained and refused unparsed "
-                             "(0 disables the cap)")
     parser.add_argument("--max-facts-per-write", type=int,
                         default=defaults.max_facts_per_write, metavar="N",
                         help="most facts one add/retract request may carry "
@@ -1271,30 +932,12 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="commit-queue capacity; writers past it get a "
                              "typed busy refusal with a retry-after hint "
                              "instead of queueing (0 = unbounded)")
-    parser.add_argument("--auth-token-file", metavar="FILE",
-                        help="require the shared-secret auth handshake, "
-                             "with the token read from FILE (whitespace "
-                             "stripped); without it the daemon is open")
-    parser.add_argument("--quiet", action="store_true")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.program and args.scenario:
-        raise SystemExit("--program and --scenario are mutually exclusive")
-    if args.program:
-        text = Path(args.program).read_text(encoding="utf-8")
-        backend = ProgramBackend(parse_program(text), engine=args.engine)
-    elif args.scenario:
-        from ..scenarios import build_scenario
-        backend = build_scenario(args.scenario).serving_backend(
-            engine=args.engine)
-    else:
-        from ..hospital import HospitalScenario
-        scenario = HospitalScenario()
-        backend = QualityBackend(scenario.context, scenario.measurements,
-                                 engine=args.engine)
+    backend = backend_from_args(args, default_scenario="hospital")
     policy = CompactionPolicy(checkpoint_every_records=args.checkpoint_every,
                               max_wal_bytes=args.max_wal_bytes,
                               keep_snapshots=args.keep_snapshots)

@@ -30,36 +30,32 @@ Run standalone with::
 
     python -m repro.serving.replication \\
         --primary-data-dir ./serving-data --data-dir ./replica-data
+
+which trusts the shipped snapshot for rules and data (pass ``--scenario
+NAME`` to serve a registered quality scenario's quality requests too, or
+``--program rules.dlg`` to verify the snapshots against a rule set).
 """
 
 from __future__ import annotations
 
 import argparse
-import json
-import os
 import signal
 import sys
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Tuple, Union
+from typing import Any, Dict, List, Optional, Union
 
-from ..datalog.parser import parse_program
-from ..engine.snapshot import encode_row, wal_position
-from ..engine.stats import ServingStats
+from ..engine.snapshot import wal_position
 from ..errors import (ServingError, ServingProtocolError, WALCorruptionError,
                       WALError)
-from .admission import AdmissionPolicy, Authenticator, load_token
-from .compaction import address_path, latest_snapshot, list_segments
-from .daemon import (PROTOCOL_VERSION, ConnectionState, ProgramBackend,
-                     QualityBackend, _LineServer, _error_response,
-                     check_authenticated, handle_auth_op)
+from .admission import AdmissionPolicy, load_token
+from .compaction import latest_snapshot, list_segments
+from .core import WRITE, ConnectionState, ServingCore
+from .daemon import backend_from_args, serving_parser
 from .wal import MAGIC, OPS, WALRecord, _parse_frame, decode_facts
 
 PathLike = Union[str, Path]
-
-#: protocol requests a replica refuses (they mutate durable state)
-WRITE_OPS = ("add_facts", "retract_facts", "checkpoint")
 
 
 class ReplicationGapError(ServingError):
@@ -109,12 +105,14 @@ class ShippedLogReader:
                     f"{segments[0][0]} but the replica needs records from "
                     f"{self.next_lsn}; the segments in between were pruned")
             return False
-        base, path = eligible[-1]
+        self._point_at(*eligible[-1])
+        return True
+
+    def _point_at(self, base: int, path: Path) -> None:
         self._segment_base = base
         self._segment_path = path
         self._offset = 0
         self._expected = None  # validated against the header on first read
-        return True
 
     def _advance_segment(self) -> bool:
         """Move to the successor segment once the current one is spent.
@@ -137,10 +135,7 @@ class ShippedLogReader:
                 "skipped records")
         if base < self.next_lsn - 1:
             return False  # still inside the current segment's successor gap
-        self._segment_base = base
-        self._segment_path = path
-        self._offset = 0
-        self._expected = None
+        self._point_at(base, path)
         return True
 
     # -- polling -------------------------------------------------------------
@@ -209,50 +204,36 @@ class ShippedLogReader:
         return records
 
 
-class ReplicaDaemon:
-    """Serve read-only, pinned-version answers off a shipped log.
+class ReplicaDaemon(ServingCore):
+    """Serve read-only, pinned-version answers off a shipped log: the
+    replica role of :class:`~repro.serving.core.ServingCore`, adding the
+    tailer and refusing writes.
 
     Same constructor shape as :class:`~repro.serving.daemon.ServingDaemon`
     — a backend plus a data directory of its own (for the address file) —
     with ``primary_dir`` pointing at the primary's data directory.
     """
 
+    role = "replica"
+
     def __init__(self, backend, primary_dir: PathLike, data_dir: PathLike,
                  poll_interval: float = 0.05,
                  admission: Optional[AdmissionPolicy] = None,
                  auth_token: Optional[Union[str, bytes]] = None):
-        self.backend = backend
         self.primary_dir = Path(primary_dir)
-        self.data_dir = Path(data_dir)
-        if self.data_dir.resolve() == self.primary_dir.resolve():
+        if Path(data_dir).resolve() == self.primary_dir.resolve():
             raise ServingError(
                 "a replica needs its own data directory — pointing it at "
                 "the primary's would fight over daemon.json")
-        self.data_dir.mkdir(parents=True, exist_ok=True)
+        super().__init__(backend, data_dir, admission=admission,
+                         auth_token=auth_token)
         self.poll_interval = poll_interval
-        #: the same protection layer the primary runs: the shared line
-        #: handler enforces ``max_request_bytes`` at the socket boundary,
-        #: and the auth gate guards every non-handshake op
-        self.admission = admission if admission is not None \
-            else AdmissionPolicy()
-        self.authenticator = Authenticator(auth_token)
         #: last LSN applied to the backend (the replica's visible position)
         self.applied_lsn = 0
-        self.serving_stats = ServingStats()
-        self.recovery: Optional[Dict[str, Any]] = None
         self.last_error: Optional[str] = None
-        #: serializes replay/reseed against quality reads (MVCC
-        #: answers/holds never take it — replay publishes new versions,
-        #: readers keep their pinned ones)
-        self._lock = threading.RLock()
         self._reader: Optional[ShippedLogReader] = None
-        self._server: Optional[_LineServer] = None
-        self._thread: Optional[threading.Thread] = None
         self._poller: Optional[threading.Thread] = None
         self._stop_event = threading.Event()
-        self._default_connection: Optional[ConnectionState] = None
-        self._connections: Dict[int, ConnectionState] = {}
-        self._connections_lock = threading.Lock()
 
     # -- seeding / recovery --------------------------------------------------
 
@@ -323,7 +304,7 @@ class ReplicaDaemon:
             return found[0] if found else 0
         base, path = segments[-1]
         probe = ShippedLogReader(self.primary_dir, base)
-        probe._segment_base, probe._segment_path = base, path
+        probe._point_at(base, path)
         try:
             records = probe._read_available()
         except (WALError, ServingError):
@@ -355,132 +336,36 @@ class ReplicaDaemon:
                 return max(0, lag)
             time.sleep(min(self.poll_interval, 0.02))
 
-    # -- request dispatch ----------------------------------------------------
+    # -- the replica's part of the protocol ----------------------------------
 
-    def handle(self, request: Dict[str, Any],
-               connection: Optional[ConnectionState] = None) -> Dict[str, Any]:
-        """Serve one protocol request; never raises (same contract as the
-        primary's :meth:`~repro.serving.daemon.ServingDaemon.handle`)."""
-        request_id = request.get("id") if isinstance(request, dict) else None
-        try:
-            if not isinstance(request, dict) or "op" not in request:
-                raise ServingProtocolError(
-                    'requests are JSON objects with an "op" field')
-            result = self._dispatch(request,
-                                    connection or self._default_connection)
-            return {"ok": True, "id": request_id, "result": result}
-        except Exception as exc:  # noqa: BLE001 - protocol boundary
-            return _error_response(request_id, exc)
-
-    def _dispatch(self, request: Dict[str, Any],
-                  connection: ConnectionState) -> Dict[str, Any]:
-        op = request["op"]
-        backend = self.backend
-        check_authenticated(self, op, connection)
-        handshake = handle_auth_op(self, op, request, connection)
-        if handshake is not None:
-            return handshake
-        if op in WRITE_OPS:
+    def _check_op(self, op: str, kind: str) -> None:
+        if kind == WRITE:
             raise ServingProtocolError(
                 f"request {op!r} is a write, but this daemon is a read "
                 "replica — send writes to the primary")
-        if op == "ping":
-            return {"pong": True, "kind": backend.kind, "role": "replica",
-                    "protocol_version": PROTOCOL_VERSION,
-                    "version": backend.version, "lsn": self.applied_lsn,
-                    "auth_required": self.authenticator.required}
-        if op == "answers":
-            with backend.session.read(request.get("version")) as txn:
-                rows = txn.answers(request["query"],
-                                   allow_nulls=bool(request.get("allow_nulls")))
-                return {"rows": [encode_row(row) for row in rows],
-                        "version": txn.version}
-        if op == "holds":
-            with backend.session.read(request.get("version")) as txn:
-                return {"holds": txn.holds(request["query"]),
-                        "version": txn.version}
-        if op == "pin":
-            return {"version": connection.pin(request.get("version"))}
-        if op == "unpin":
-            connection.unpin(int(request["version"]))
-            return {"unpinned": int(request["version"])}
-        if op == "stats":
-            stats = backend.stats()
-            stats["serving"] = {
-                "role": "replica",
-                "replication": self.replication_status(),
-                "counters": self.serving_stats.as_dict(),
-                "admission": {
-                    "max_request_bytes": self.admission.max_request_bytes,
-                    "auth_required": self.authenticator.required,
-                },
-            }
-            return stats
-        if op == "recovery":
-            return dict(self.recovery or {})
-        if op == "quality_answers":
-            self._require_quality(op)
-            with self._lock:
-                rows = backend.quality_answers(request["query"])
-            return {"rows": [encode_row(row) for row in rows]}
-        if op == "quality_version":
-            self._require_quality(op)
-            with self._lock:
-                rows = backend.quality_version(request["relation"])
-            return {"rows": [encode_row(row) for row in rows]}
-        if op == "assess":
-            self._require_quality(op)
-            with self._lock:
-                return backend.assess()
-        if op == "shutdown":
-            connection.closing = True
-            threading.Thread(target=self.stop, name="repro-replica-stop",
-                             daemon=True).start()
-            return {"stopping": True}
-        raise ServingProtocolError(f"unknown request op {op!r}")
 
-    def _require_quality(self, op: str) -> None:
-        if not hasattr(self.backend, "quality_answers"):
-            raise ServingProtocolError(
-                f"request {op!r} needs a quality backend, but this replica "
-                "serves a plain program (start it with --hospital)")
+    def _ping_fields(self) -> Dict[str, Any]:
+        return {"role": "replica", "lsn": self.applied_lsn}
 
-    def _register_connection(self, connection: ConnectionState) -> None:
-        with self._connections_lock:
-            self._connections[id(connection)] = connection
+    def _serving_slot(self) -> Dict[str, Any]:
+        return {
+            "role": "replica",
+            "replication": self.replication_status(),
+            "counters": self.serving_stats.as_dict(),
+            "admission": {
+                "max_request_bytes": self.admission.max_request_bytes,
+                "auth_required": self.authenticator.required,
+            },
+        }
 
-    def _unregister_connection(self, connection: ConnectionState) -> None:
-        with self._connections_lock:
-            self._connections.pop(id(connection), None)
+    # -- the tailer ----------------------------------------------------------
 
-    # -- network lifecycle ---------------------------------------------------
-
-    def start(self, host: str = "127.0.0.1", port: int = 0
-              ) -> Tuple[str, int]:
-        """Bind, serve in the background, start the tailer loop, and
-        advertise the address in ``<data_dir>/daemon.json``."""
-        if self._server is not None:
-            raise ServingError("the replica is already serving")
-        self._server = _LineServer((host, port), self)
-        bound_host, bound_port = self._server.server_address[:2]
-        self._thread = threading.Thread(target=self._server.serve_forever,
-                                        name="repro-replica-daemon",
-                                        daemon=True)
-        self._thread.start()
+    def _on_start(self) -> None:
         self._stop_event.clear()
         self._poller = threading.Thread(target=self._poll_loop,
                                         name="repro-replica-tailer",
                                         daemon=True)
         self._poller.start()
-        address = address_path(self.data_dir)
-        temp = address.with_name(address.name + ".tmp")
-        temp.write_text(json.dumps({
-            "host": bound_host, "port": bound_port, "pid": os.getpid(),
-            "kind": self.backend.kind, "role": "replica",
-            "protocol_version": PROTOCOL_VERSION,
-        }), encoding="utf-8")
-        os.replace(temp, address)
-        return bound_host, bound_port
 
     def _poll_loop(self) -> None:
         while not self._stop_event.wait(self.poll_interval):
@@ -489,43 +374,14 @@ class ReplicaDaemon:
             except Exception as exc:  # noqa: BLE001 - keep tailing
                 self.last_error = str(exc)
 
-    def wait(self) -> None:
-        """Block until the serving thread exits (stop() from elsewhere)."""
-        if self._thread is not None:
-            while self._thread.is_alive():
-                self._thread.join(timeout=0.5)
-
     def stop(self) -> None:
-        """Stop serving and tailing, releasing every held pin (idempotent)."""
+        """Stop tailing and serving, releasing every held pin
+        (idempotent)."""
         self._stop_event.set()
-        server, self._server = self._server, None
-        if server is not None:
-            server.shutdown()
-            server.server_close()
         poller, self._poller = self._poller, None
         if poller is not None and poller is not threading.current_thread():
             poller.join(timeout=5)
-        try:
-            address_path(self.data_dir).unlink()
-        except OSError:
-            pass
-        with self._connections_lock:
-            connections = list(self._connections.values())
-            self._connections.clear()
-        for connection in connections:
-            connection.release_all()
-        with self._lock:
-            if self._default_connection is not None:
-                self._default_connection.release_all()
-
-    def close(self) -> None:
-        self.stop()
-
-    def __enter__(self) -> "ReplicaDaemon":
-        return self
-
-    def __exit__(self, *_exc) -> None:
-        self.close()
+        super().stop()
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"ReplicaDaemon({self.backend.kind!r}, "
@@ -539,55 +395,25 @@ class ReplicaDaemon:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro.serving.replication",
-        description="Serve read-only answers off a primary's shipped "
-                    "snapshots + WAL segments.")
+    parser = serving_parser(
+        "python -m repro.serving.replication",
+        "Serve read-only answers off a primary's shipped snapshots + WAL "
+        "segments (rules and data from the snapshot unless --program or "
+        "--scenario says otherwise).")
     parser.add_argument("--primary-data-dir", required=True,
                         help="the primary daemon's data directory (the "
                              "shipped log)")
     parser.add_argument("--data-dir", required=True,
                         help="the replica's own directory (address file); "
                              "must differ from the primary's")
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0,
-                        help="0 = pick a free port (advertised in "
-                             "<data-dir>/daemon.json)")
-    parser.add_argument("--program", metavar="FILE",
-                        help="verify the shipped snapshots against this "
-                             "Datalog± program text (default: trust the "
-                             "snapshot)")
-    parser.add_argument("--hospital", action="store_true",
-                        help="serve the hospital quality session (enables "
-                             "the quality_* requests)")
-    parser.add_argument("--engine", choices=("indexed", "naive", "columnar"))
     parser.add_argument("--poll-interval", type=float, default=0.05,
                         metavar="SECONDS")
-    defaults = AdmissionPolicy()
-    parser.add_argument("--max-request-bytes", type=int,
-                        default=defaults.max_request_bytes, metavar="N",
-                        help="longest accepted protocol line in bytes "
-                             "(0 = unlimited)")
-    parser.add_argument("--auth-token-file", metavar="FILE",
-                        help="require the shared-secret handshake with the "
-                             "token read from FILE")
-    parser.add_argument("--quiet", action="store_true")
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.hospital:
-        from ..hospital import HospitalScenario
-        scenario = HospitalScenario()
-        backend = QualityBackend(scenario.context, engine=args.engine)
-    elif args.program:
-        text = Path(args.program).read_text(encoding="utf-8")
-        backend = ProgramBackend(parse_program(text), engine=args.engine)
-    else:
-        # Snapshot-authoritative: rules and data both come from the
-        # shipped snapshot (load_program reconstructs the rule set).
-        backend = ProgramBackend(None, engine=args.engine)
+    backend = backend_from_args(args)
     admission = AdmissionPolicy(max_request_bytes=args.max_request_bytes)
     token = load_token(args.auth_token_file) if args.auth_token_file else None
     replica = ReplicaDaemon(backend, args.primary_data_dir, args.data_dir,
@@ -603,7 +429,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               flush=True)
 
     def _stop(_signum, _frame):  # pragma: no cover - signal path
-        threading.Thread(target=replica.stop, daemon=True).start()
+        replica._async_stop()
 
     signal.signal(signal.SIGTERM, _stop)
     signal.signal(signal.SIGINT, _stop)

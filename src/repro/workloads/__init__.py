@@ -4,7 +4,6 @@ from .driver import (ClientTarget, OpSchedule, RunReport, ScenarioBinding,
     ScheduledOp, SessionTarget, TrafficSpec, compile_schedule, run_schedule)
 from .generator import (GeneratedWorkload, WorkloadSpec, derive_rng,
     generate_workload)
-from .queries import boolean_probe, full_scan_query, point_queries
 from .updates import UpdateStep, generate_update_stream
 
 __all__ = [
@@ -12,9 +11,6 @@ __all__ = [
     "WorkloadSpec",
     "derive_rng",
     "generate_workload",
-    "boolean_probe",
-    "full_scan_query",
-    "point_queries",
     "UpdateStep",
     "generate_update_stream",
     "ClientTarget",

@@ -14,7 +14,11 @@ The invariants under test:
 * **reseed** — when the primary prunes segments the replica still needs,
   the replica reseeds from the newest shipped snapshot and converges;
 * **torn-tail tolerance** — a half-shipped frame is "not here yet", not
-  an error: the reader resumes cleanly once the bytes complete.
+  an error: the reader resumes cleanly once the bytes complete;
+* **one protocol** — a caught-up replica answers the quality reads
+  exactly as the primary does, refuses every write-kind op, and errors
+  on an unknown op as the primary does; a replica started from the
+  command line with ``--scenario`` serves that scenario.
 
 ``REPRO_FAULT_SEED`` (CI matrix, seeds 0-2) shifts streams and sizes.
 """
@@ -23,21 +27,28 @@ from __future__ import annotations
 
 import os
 import random
+import subprocess
+import sys
 import time
+from pathlib import Path
 from typing import List, Tuple
 
 import pytest
 
+import repro
 import test_session_differential as differential
 from repro.datalog import parse_program
 from repro.errors import ServingError, ServingProtocolError
+from repro.scenarios import build_scenario
 from repro.serving import (CompactionPolicy, ReplicaDaemon, ServingClient,
                            ShippedLogReader, WriteAheadLog, scan_wal,
                            segment_path)
+from repro.serving import daemon as daemon_cli
 from repro.serving.daemon import ProgramBackend, ServingDaemon
 from repro.serving.wal import OP_ADD, OP_RETRACT
 
 FAULT_SEED = int(os.environ.get("REPRO_FAULT_SEED", "0"))
+SRC_DIR = str(Path(repro.__file__).resolve().parents[1])
 
 PROGRAM_TEXT = """
     Derived(X, Y) :- Base(X, Y).
@@ -197,6 +208,123 @@ def test_client_routes_reads_to_replica_and_writes_to_primary(tmp_path):
         if client is not None:
             client.close()
         replica.stop()
+        primary.stop()
+
+
+# -- one protocol: quality reads, refusals, the command line ------------------
+
+
+def _sensornet_writes(primary: ServingDaemon, seed: int) -> None:
+    """A few recorded and one retracted assessed-relation tuple."""
+    scenario = build_scenario("sensornet")
+    relation = scenario.assessed_relation
+    rng = random.Random(seed + FAULT_SEED)
+    rows = [scenario.fresh_assessed_row(rng, index) for index in range(4)]
+    primary.apply_write(OP_ADD, [(relation, row) for row in rows])
+    primary.apply_write(OP_RETRACT, [(relation, rows[0])])
+
+
+def test_replica_quality_reads_match_and_writes_are_refused(tmp_path):
+    """At the same LSN, a caught-up replica answers ``quality_answers``,
+    ``quality_version`` and ``assess`` exactly as the primary does; it
+    refuses every write-kind op, and an unknown op gets the primary's
+    error."""
+    scenario = build_scenario("sensornet")
+    primary = ServingDaemon(scenario.serving_backend(), tmp_path / "primary")
+    primary.recover()
+    replica = ReplicaDaemon(build_scenario("sensornet").serving_backend(),
+                            tmp_path / "primary", tmp_path / "replica")
+    replica.recover()
+    clients = []
+    try:
+        _sensornet_writes(primary, seed=5900)
+        assert replica.catch_up(timeout=30.0) == 0
+        assert replica.applied_lsn == primary.last_lsn
+        requests = [{"op": "quality_answers", "query": query}
+                    for query in scenario.quality_queries()]
+        requests += [{"op": "quality_version", "relation": relation}
+                     for relation in sorted(scenario.context.quality_versions)]
+        requests.append({"op": "assess"})
+        for request in requests:
+            expected = primary.handle(request)
+            assert expected["ok"], expected
+            assert replica.handle(request) == expected
+
+        primary.start(host="127.0.0.1", port=0)
+        replica.start(host="127.0.0.1", port=0)
+        to_primary = ServingClient.connect(tmp_path / "primary", wait=30.0)
+        to_replica = ServingClient.connect(tmp_path / "replica", wait=30.0)
+        clients += [to_primary, to_replica]
+        fact = [(scenario.assessed_relation,
+                 scenario.fresh_assessed_row(random.Random(0), 0))]
+        for refused in (lambda: to_replica.add_facts(fact),
+                        lambda: to_replica.retract_facts(fact),
+                        to_replica.checkpoint):
+            with pytest.raises(ServingProtocolError, match="read replica"):
+                refused()
+        errors = []
+        for client in (to_primary, to_replica):
+            with pytest.raises(ServingProtocolError,
+                               match="unknown request op") as raised:
+                client.request("no_such_op")
+            errors.append(str(raised.value))
+        assert errors[0] == errors[1]
+        assert replica.applied_lsn == primary.last_lsn  # nothing got through
+    finally:
+        for client in clients:
+            client.close()
+        replica.stop()
+        primary.stop()
+
+
+def test_replica_command_line_serves_a_scenario(tmp_path):
+    """A replica process started with ``--scenario sensornet``, seeded off
+    a primary built from ``--scenario sensornet`` arguments, answers
+    ``answers`` exactly as that primary does."""
+    primary_dir = tmp_path / "primary"
+    args = daemon_cli._build_parser().parse_args(
+        ["--data-dir", str(primary_dir), "--scenario", "sensornet"])
+    primary = ServingDaemon(
+        daemon_cli.backend_from_args(args, default_scenario="hospital"),
+        args.data_dir)
+    primary.recover()
+    _sensornet_writes(primary, seed=6000)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+    env.pop("REPRO_FAULT_CRASH", None)
+    env.pop("REPRO_FAULT_STALL", None)
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro.serving.replication",
+         "--primary-data-dir", str(primary_dir),
+         "--data-dir", str(tmp_path / "replica"),
+         "--scenario", "sensornet", "--port", "0", "--quiet"],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    client = None
+    try:
+        client = ServingClient.connect(tmp_path / "replica", wait=30.0)
+        ping = client.ping()
+        assert (ping["role"], ping["kind"]) == ("replica", "quality")
+        deadline = time.monotonic() + 30.0
+        while client.ping()["lsn"] < primary.last_lsn:
+            assert time.monotonic() < deadline, "replica never caught up"
+            time.sleep(0.02)
+        for query in build_scenario("sensornet").queries():
+            expected = primary.handle({"op": "answers", "query": query})
+            assert expected["ok"], expected
+            assert client.request("answers", query=query)["rows"] == \
+                expected["result"]["rows"]
+    finally:
+        if client is not None:
+            try:
+                client.shutdown()
+            except Exception:  # noqa: BLE001 - already gone
+                pass
+            client.close()
+        try:
+            process.wait(timeout=30)
+        except subprocess.TimeoutExpired:  # pragma: no cover - hung replica
+            process.kill()
+            process.wait(timeout=30)
         primary.stop()
 
 

@@ -297,8 +297,11 @@ def test_busy_refusal_is_typed_and_retrying_client_converges(tmp_path,
 
         # First write: drained into the (stalling) committer batch.
         first = _stalled_write("stall1")
-        _wait_for(lambda: daemon.last_lsn == 0 and
-                  not daemon._commit_queue and first.is_alive(),
+        # queue_peak proves the write was queued, the empty queue that the
+        # committer has drained it (an empty queue alone also holds before
+        # the request arrives, letting the second write overtake it).
+        _wait_for(lambda: daemon.queue_peak == 1 and
+                  not daemon._commit_queue and daemon.last_lsn == 0,
                   message="the committer to pick up the first write")
         # Second write: sits in the queue, filling it to the cap.
         second = _stalled_write("stall2")

@@ -1,9 +1,8 @@
-"""Tests for the synthetic workload generator and query-workload helpers."""
+"""Tests for the synthetic workload generator."""
 
 
 from repro.md.validation import validate_md_instance
-from repro.workloads import (WorkloadSpec, boolean_probe, full_scan_query, generate_workload,
-                             point_queries)
+from repro.workloads import WorkloadSpec, generate_workload
 
 
 class TestWorkloadSpec:
@@ -93,23 +92,6 @@ class TestGeneratedQualityContext:
         versions = workload.context.quality_versions_for(workload.assessment_instance)
         assert len(versions["Readings"]) < len(
             workload.assessment_instance.relation("Readings"))
-
-
-class TestQueryHelpers:
-    def test_point_queries(self, tiny_workload):
-        queries = point_queries(tiny_workload.ontology, "Base0", limit=3)
-        assert len(queries) <= 3
-        assert all(not q.is_boolean() for q in queries)
-
-    def test_full_scan_query(self, tiny_workload):
-        query = full_scan_query(tiny_workload.ontology, "Up0")
-        answers = tiny_workload.ontology.certain_answers(query)
-        assert answers
-
-    def test_boolean_probe(self, tiny_workload):
-        row = next(iter(tiny_workload.md.relation("Base0")))
-        probe = boolean_probe(tiny_workload.ontology, "Base0", row)
-        assert tiny_workload.ontology.holds(probe)
 
 
 class TestSeedPlumbing:
