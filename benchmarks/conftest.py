@@ -10,7 +10,10 @@ compared against the expectations recorded in EXPERIMENTS.md.
 
 Run with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/ --benchmark-enable --benchmark-only
+
+(``--benchmark-enable`` overrides the ``--benchmark-disable`` that the
+root ``pytest.ini`` sets for the test suite.)
 """
 
 from __future__ import annotations

@@ -23,10 +23,5 @@ setup(
     install_requires=[],
     extras_require={
         "test": ["pytest", "hypothesis", "pytest-benchmark"],
-        # Optional: vectorizes the columnar engine's batch join kernels.
-        # Without it the same kernels run over plain lists (identical
-        # semantics, exercised by the differential suite under
-        # REPRO_NO_NUMPY=1).
-        "fast": ["numpy"],
     },
 )

@@ -566,7 +566,7 @@ class ChaseEngine:
         """The process-wide group-index delta-merge counter, when the engine
         maintains group indexes (columnar only — sampled before/after a run
         to report ``index_delta_merges``).  Imported lazily so the other
-        engines never load the columns module (and numpy) at all."""
+        engines never load the columns module at all."""
         if not hasattr(matcher, "delta_binding_table"):
             return None
         from ..relational.columns import index_delta_merge_count

@@ -14,8 +14,7 @@ single fast matching engine under all of them:
   (row-by-row reference oracle wrapping :mod:`repro.datalog.unify`);
 * :mod:`repro.engine.columnar` — the :class:`ColumnarMatcher`, evaluating
   conjunctions set-at-a-time over interned-int column stores with cached
-  specialized join functions (vectorized with numpy when available, plain
-  lists otherwise).
+  specialized join functions.
 
 Engine selection: evaluators take an ``engine=`` argument (``"indexed"``,
 ``"naive"`` or ``"columnar"``); when omitted they use ``"indexed"``.  Pass

@@ -8,9 +8,8 @@ process-wide :class:`~repro.relational.values.ValueCatalog`), and each body
 atom extends the table with one *probe step* — probe the relation's cached
 group index with the bound codes, gather the matching slots, filter
 repeated-variable positions — instead of one Python-level backtracking call
-per candidate row.  With numpy available the gathers and filters are
-vectorized ``int64`` operations; without it the same kernels run over plain
-lists (same semantics, exercised by the differential suite).
+per candidate row.  Code columns are plain Python lists, and the gathers
+and filters run as C-level ``map``/``zip`` passes over them.
 
 The probe pipeline of a conjunction is additionally **compiled**: the step
 descriptors (key positions, baked constant codes, gather targets) are
@@ -44,14 +43,14 @@ under Python ``==`` share one code, so answers decode to the canonical
 
 from __future__ import annotations
 
-from itertools import repeat
+from collections import Counter
+from itertools import chain, repeat
 from typing import (Any, Dict, Iterator, List, Optional, Sequence, Set,
                     Tuple)
 
 from ..datalog.atoms import Atom, Comparison
 from ..datalog.terms import Variable, term_value, to_term
 from ..datalog.unify import Substitution, comparison_bindings
-from ..relational import columns as _cols
 from ..relational.instance import DatabaseInstance
 from ..relational.values import Null, value_catalog
 from .matching import COLUMNAR, DeltaJoinPlan, DeltaLike, IndexedMatcher
@@ -63,10 +62,9 @@ class BindingTable:
     """A batch of variable bindings: one code column per variable.
 
     ``columns`` maps each bound :class:`Variable` to a column of
-    :class:`~repro.relational.values.ValueCatalog` codes — an ``int64``
-    ndarray on the numpy path, a plain list on the fallback — all of
-    ``length`` entries.  A unit table (``length == 1`` with no columns) is
-    the seed of an unconstrained join.
+    :class:`~repro.relational.values.ValueCatalog` codes (a plain list),
+    all of ``length`` entries.  A unit table (``length == 1`` with no
+    columns) is the seed of an unconstrained join.
     """
 
     __slots__ = ("columns", "length")
@@ -79,30 +77,18 @@ class BindingTable:
     def seed(cls, substitution: Substitution) -> "BindingTable":
         """A one-row table carrying a ground substitution's bindings."""
         catalog = value_catalog()
-        np = _cols._np
-        columns: Dict[Variable, Any] = {}
-        for variable, term in substitution.items():
-            code = catalog.code(term_value(term))
-            columns[variable] = np.asarray([code], dtype=np.int64) \
-                if np is not None else [code]
+        columns: Dict[Variable, Any] = {
+            variable: [catalog.code(term_value(term))]
+            for variable, term in substitution.items()}
         return cls(columns, 1)
 
     def empty_like(self, extra: Sequence[Variable] = ()) -> "BindingTable":
         """An empty table over this table's variables plus ``extra``."""
-        np = _cols._np
-        blank = np.empty(0, dtype=np.int64) if np is not None else []
+        blank: List[int] = []
         columns = {variable: blank for variable in self.columns}
         for variable in extra:
             columns[variable] = blank
         return BindingTable(columns, 0)
-
-    def _column_lists(self, variables: Sequence[Variable]) -> List[List[int]]:
-        out = []
-        for variable in variables:
-            column = self.columns[variable]
-            out.append(column.tolist() if hasattr(column, "tolist")
-                       else column)
-        return out
 
     def substitutions(self) -> Iterator[Substitution]:
         """Decode one substitution per row (for Substitution consumers)."""
@@ -110,7 +96,7 @@ class BindingTable:
             return
         values = value_catalog().values()
         variables = list(self.columns)
-        lists = self._column_lists(variables)
+        lists = [self.columns[variable] for variable in variables]
         for i in range(self.length):
             yield {variable: to_term(values[lists[j][i]])
                    for j, variable in enumerate(variables)}
@@ -121,7 +107,7 @@ class BindingTable:
             return []
         if not variables:
             return [()] * self.length
-        return list(zip(*self._column_lists(variables)))
+        return list(zip(*(self.columns[variable] for variable in variables)))
 
     def projected_counts(self, variables: Sequence[Variable]
                          ) -> Dict[Tuple[Any, ...], int]:
@@ -130,135 +116,17 @@ class BindingTable:
         Each table row is one distinct body valuation (set semantics make
         row combinations biject with valuations), so the projection counts
         are exactly the support counts of
-        :func:`repro.datalog.answering.evaluate_query_counts`.
+        :func:`repro.datalog.answering.evaluate_query_counts`.  Columns
+        are decoded before counting: codes biject with value-equality
+        classes, so counting decoded rows gives the same multiplicities.
         """
         if not self.length:
             return {}
         if not variables:
             return {(): self.length}
-        np = _cols._np
-        counts: Dict[Tuple[Any, ...], int] = {}
-        if np is not None:
-            matrix = np.stack([np.asarray(self.columns[v], dtype=np.int64)
-                               for v in variables], axis=1)
-            unique, multiplicity = _grouped_counts(np, matrix)
-            # per-tuple: ok — unique answer rows, O(result) not O(data)
-            for row, count in zip(_decoded_rows(unique),
-                                  multiplicity.tolist()):
-                counts[row] = count
-        else:
-            values = value_catalog().values()
-            for codes in zip(*self._column_lists(variables)):
-                row = tuple(values[code] for code in codes)
-                counts[row] = counts.get(row, 0) + 1
-        return counts
-
-
-#: cached object-dtype decode table mirroring the append-only ValueCatalog
-#: (grown in place on demand; only new codes pay a Python-level assignment)
-_DECODE_STATE: List[Any] = [None, 0]
-
-
-def _decode_array():
-    """The catalog's code → value table as an object ndarray (numpy path).
-
-    Fancy-indexing this array decodes whole unique-row matrices in C
-    instead of one ``values[code]`` lookup per cell.  The catalog is
-    append-only, so the cached array is only ever extended.
-    """
-    np = _cols._np
-    values = value_catalog().values()
-    total = len(values)
-    cached, known = _DECODE_STATE
-    if cached is None or len(cached) < total:
-        grown = np.empty(max(total * 2, 1024), dtype=object)
-        if cached is not None and known:
-            grown[:known] = cached[:known]
-        cached = grown
-    if known < total:
-        for code in range(known, total):
-            cached[code] = values[code]
-        _DECODE_STATE[0] = cached
-        _DECODE_STATE[1] = total
-    return cached
-
-
-def _decoded_rows(matrix) -> Iterator[Tuple[Any, ...]]:
-    """Decode an (n, k) code matrix into value tuples (vectorized gather)."""
-    decode = _decode_array()
-    columns = [decode[matrix[:, j]].tolist()
-               for j in range(matrix.shape[1])]
-    return zip(*columns)
-
-
-def _grouped_counts(np, matrix):
-    """``(unique rows, multiplicities)`` of an int64 code-row matrix.
-
-    ``np.unique(..., axis=0)`` sorts through a structured-void view — a
-    generic-comparison sort that dominates the whole batch-count profile.
-    Codes are dense (< catalog size ``K``), so multi-column rows pack
-    collision-free into one mixed-radix int64 key whenever ``K**columns``
-    fits; the unique then runs on a flat int64 sort and the unique keys
-    decode back by divmod.  Falls back to ``axis=0`` when packing would
-    overflow (catalogs nowhere near that size in practice).
-    """
-    n, width = matrix.shape
-    if width == 1:
-        uniq, counts = np.unique(matrix[:, 0], return_counts=True)
-        return uniq.reshape(-1, 1), counts
-    radix = len(value_catalog())
-    if radix ** width < (1 << 62):
-        keys = matrix[:, 0].astype(np.int64, copy=True)
-        for j in range(1, width):
-            keys *= radix
-            keys += matrix[:, j]
-        uniq_keys, counts = np.unique(keys, return_counts=True)
-        rows = np.empty((uniq_keys.shape[0], width), dtype=np.int64)
-        rest = uniq_keys
-        for j in range(width - 1, 0, -1):
-            rows[:, j] = rest % radix
-            rest = rest // radix
-        rows[:, 0] = rest
-        return rows, counts
-    return np.unique(matrix, axis=0, return_counts=True)
-
-
-def _unique_rows(np, matrix, return_index: bool = False):
-    """The distinct rows of an int64 code matrix (mixed-radix packed sort).
-
-    Same packing trick as :func:`_grouped_counts` (codes are dense, so
-    multi-column rows pack collision-free into one int64 key when the
-    catalog size allows), but returning the distinct rows themselves.
-    With ``return_index`` also returns, per distinct row, the index of one
-    representative occurrence in ``matrix`` — the batched trigger path
-    decodes a provenance witness from that representative.
-    """
-    n, width = matrix.shape
-    if width == 1:
-        if return_index:
-            uniq, first = np.unique(matrix[:, 0], return_index=True)
-            return uniq.reshape(-1, 1), first
-        return np.unique(matrix[:, 0]).reshape(-1, 1)
-    radix = len(value_catalog())
-    if radix ** width < (1 << 62):
-        keys = matrix[:, 0].astype(np.int64, copy=True)
-        for j in range(1, width):
-            keys *= radix
-            keys += matrix[:, j]
-        if return_index:
-            uniq_keys, first = np.unique(keys, return_index=True)
-        else:
-            uniq_keys, first = np.unique(keys), None
-        rows = np.empty((uniq_keys.shape[0], width), dtype=np.int64)
-        rest = uniq_keys
-        for j in range(width - 1, 0, -1):
-            rows[:, j] = rest % radix
-            rest = rest // radix
-        rows[:, 0] = rest
-        return (rows, first) if return_index else rows
-    if return_index:
-        return np.unique(matrix, axis=0, return_index=True)
-    return np.unique(matrix, axis=0)
+        decode = value_catalog().values().__getitem__
+        return dict(Counter(zip(*(map(decode, self.columns[variable])
+                                  for variable in variables))))
 
 
 # -- probe-step compilation ---------------------------------------------------
@@ -323,24 +191,15 @@ def _probe_keys(table: BindingTable, key_items: tuple, length: int):
             return key_items[0][2], None
         return tuple(item[2] for item in key_items), None
     if len(key_items) == 1:
-        column = table.columns[key_items[0][2]]
-        return None, (column.tolist() if hasattr(column, "tolist")
-                      else column)
-    sources = []
-    for _, is_const, payload in key_items:
-        if is_const:
-            sources.append(repeat(payload, length))
-        else:
-            column = table.columns[payload]
-            sources.append(column.tolist() if hasattr(column, "tolist")
-                           else column)
-    return None, zip(*sources)
+        return None, table.columns[key_items[0][2]]
+    return None, zip(*(repeat(payload, length) if is_const
+                       else table.columns[payload]
+                       for _, is_const, payload in key_items))
 
 
-def _probe_step_np(matcher, table: BindingTable, instance: DatabaseInstance,
-                   step: Step) -> BindingTable:
-    """One vectorized probe → gather → filter step (numpy path)."""
-    np = _cols._np
+def _probe_step(matcher, table: BindingTable, instance: DatabaseInstance,
+                step: Step) -> BindingTable:
+    """One probe → gather → filter step."""
     predicate, key_items, new_vars, dup_checks = step
     stats = matcher.stats
     relation = _step_relation(matcher, instance, predicate)
@@ -350,126 +209,50 @@ def _probe_step_np(matcher, table: BindingTable, instance: DatabaseInstance,
     stats.batch_joins += 1
     n = table.length
     if key_items:
-        key_positions = tuple(item[0] for item in key_items)
-        groups = store.group_index(key_positions)
+        groups = store.group_index(tuple(item[0] for item in key_items))
         const_key, keys = _probe_keys(table, key_items, n)
         if keys is None:  # every row probes the same constant key
             stats.index_probes += 1
-            bucket = groups.get(const_key)
-            if bucket is None:
-                return table.empty_like([v for v, _ in new_vars])
-            bucket = np.asarray(bucket, dtype=np.int64)
-            repeat_index = np.repeat(np.arange(n), len(bucket))
-            slots = np.tile(bucket, n)
+            buckets = [groups.get(const_key, ())] * n
         else:
             stats.index_probes += n
-            counts = np.empty(n, dtype=np.int64)
-            chunks = []
-            for i, key in enumerate(keys):
-                bucket = groups.get(key)
-                if bucket is None:
-                    counts[i] = 0
-                else:
-                    counts[i] = len(bucket)
-                    chunks.append(bucket)
-            if not chunks:
-                return table.empty_like([v for v, _ in new_vars])
-            repeat_index = np.repeat(np.arange(n), counts)
-            slots = np.concatenate(chunks) if len(chunks) > 1 \
-                else np.asarray(chunks[0], dtype=np.int64)
+            buckets = [groups.get(key, ()) for key in keys]
     else:  # unconstrained: cross join against the whole store
-        span = np.arange(len(store), dtype=np.int64)
-        repeat_index = np.repeat(np.arange(n), len(store))
-        slots = np.tile(span, n)
-    total = len(slots)
+        buckets = [range(len(store))] * n
+    if n == 1:
+        # The one-row seed every plain query starts from: broadcast its
+        # bindings and gather the new columns in one pass each.
+        slots = buckets[0]
+        total = len(slots)
+        columns: Dict[Variable, Any] = {
+            variable: [column[0]] * total
+            for variable, column in table.columns.items()}
+        for variable, position in new_vars:
+            source = store.column(position)
+            columns[variable] = list(map(source.__getitem__, slots)) \
+                if key_items else source.tolist()
+    else:
+        slots = list(chain.from_iterable(buckets))
+        total = len(slots)
+        gather_index = list(chain.from_iterable(
+            repeat(i, len(bucket)) for i, bucket in enumerate(buckets)))
+        columns = {variable: list(map(column.__getitem__, gather_index))
+                   for variable, column in table.columns.items()}
+        for variable, position in new_vars:
+            columns[variable] = list(map(store.column(position).__getitem__,
+                                         slots))
     stats.rows_batch_scanned += total
     if not total:
-        return table.empty_like([v for v, _ in new_vars])
-    store_columns = store.np_columns()
-    if n == 1:
-        columns = {variable: np.full(total, column[0], dtype=np.int64)
-                   for variable, column in table.columns.items()}
-    else:
-        columns = {variable: column[repeat_index]
-                   for variable, column in table.columns.items()}
-    for variable, position in new_vars:
-        columns[variable] = store_columns[position][slots]
-    if dup_checks:
-        mask = None
-        for position, variable in dup_checks:
-            equal = store_columns[position][slots] == columns[variable]
-            mask = equal if mask is None else (mask & equal)
-        if not mask.all():
-            slots_kept = int(mask.sum())
-            columns = {variable: column[mask]
-                       for variable, column in columns.items()}
-            return BindingTable(columns, slots_kept)
-    return BindingTable(columns, total)
-
-
-def _probe_step_py(matcher, table: BindingTable, instance: DatabaseInstance,
-                   step: Step) -> BindingTable:
-    """The same probe step over plain lists (no-numpy fallback)."""
-    predicate, key_items, new_vars, dup_checks = step
-    stats = matcher.stats
-    relation = _step_relation(matcher, instance, predicate)
-    if relation is None:
         return table.empty_like([variable for variable, _ in new_vars])
-    store = relation.column_store()
-    stats.batch_joins += 1
-    n = table.length
-    gather_index: List[int] = []
-    slots: List[int] = []
-    if key_items:
-        key_positions = tuple(item[0] for item in key_items)
-        groups = store.group_index(key_positions)
-        const_key, keys = _probe_keys(table, key_items, n)
-        if keys is None:
-            stats.index_probes += 1
-            bucket = groups.get(const_key)
-            if bucket is not None:
-                for i in range(n):
-                    for slot in bucket:
-                        gather_index.append(i)
-                        slots.append(slot)
-        else:
-            stats.index_probes += n
-            for i, key in enumerate(keys):
-                bucket = groups.get(key)
-                if bucket is not None:
-                    for slot in bucket:
-                        gather_index.append(i)
-                        slots.append(slot)
-    else:
-        span = range(len(store))
-        for i in range(n):
-            for slot in span:
-                gather_index.append(i)
-                slots.append(slot)
-    stats.rows_batch_scanned += len(slots)
-    if not slots:
-        return table.empty_like([variable for variable, _ in new_vars])
-    columns: Dict[Variable, Any] = {}
-    for variable, column in table.columns.items():
-        columns[variable] = [column[i] for i in gather_index]
-    for variable, position in new_vars:
-        source = store.column(position)
-        columns[variable] = [source[slot] for slot in slots]
+    joined = BindingTable(columns, total)
     if dup_checks:
-        keep = list(range(len(slots)))
+        keep = range(total)
         for position, variable in dup_checks:
             source = store.column(position)
             bound_column = columns[variable]
             keep = [i for i in keep if source[slots[i]] == bound_column[i]]
-        if len(keep) != len(slots):
-            columns = {variable: [column[i] for i in keep]
-                       for variable, column in columns.items()}
-            return BindingTable(columns, len(keep))
-    return BindingTable(columns, len(slots))
-
-
-def _active_kernel():
-    return _probe_step_np if _cols._np is not None else _probe_step_py
+        joined = _take_rows(joined, keep)
+    return joined
 
 
 # -- specialized join codegen -------------------------------------------------
@@ -512,15 +295,14 @@ def compiled_join(atoms: Sequence[Atom], bound: Set[Variable], stats):
         stats.codegen_cache_hits += 1
         return fn
     steps = _compile_steps(atoms, bound)
-    lines = ["def _specialized(matcher, table, instance):",
-             "    kernel = _active_kernel()"]
+    lines = ["def _specialized(matcher, table, instance):"]
     for index in range(len(steps)):
-        lines.append(f"    table = kernel(matcher, table, instance, "
+        lines.append(f"    table = _probe_step(matcher, table, instance, "
                      f"_steps[{index}])")
         lines.append("    if not table.length:")
         lines.append("        return table")
     lines.append("    return table")
-    namespace = {"_steps": steps, "_active_kernel": _active_kernel}
+    namespace = {"_steps": steps, "_probe_step": _probe_step}
     exec(compile("\n".join(lines),  # noqa: S102 - generated from our own AST
                  f"<columnar-join-{len(_CODEGEN_CACHE)}>", "exec"), namespace)
     fn = namespace["_specialized"]
@@ -588,8 +370,7 @@ class ColumnarMatcher(IndexedMatcher):
                 column = table.columns.get(term)
                 if column is None:  # unsafe negation: no certain match at all
                     return table.empty_like()
-                sources.append((True, column.tolist()
-                                if hasattr(column, "tolist") else column))
+                sources.append((True, column))
             else:
                 value = term_value(term)
                 if isinstance(value, Null):  # cautious: reject everything
@@ -716,29 +497,13 @@ class ColumnarMatcher(IndexedMatcher):
         tables = [table
                   for table in self._delta_tables(plan, instance, delta)
                   if table.length]
-        np = _cols._np
         if not tables or not variables:
             # No variables: the one possible valuation is the empty one,
             # present iff any pivot joined at all.
-            length = 1 if tables else 0
-            blank = np.empty(length, dtype=np.int64) if np is not None else []
-            return BindingTable({variable: blank for variable in variables},
-                                length)
+            return BindingTable({variable: [] for variable in variables},
+                                1 if tables else 0)
         if len(tables) == 1:
             return tables[0]
-        if np is not None:
-            stacked = np.concatenate(
-                [np.stack([np.asarray(table.columns[variable],
-                                      dtype=np.int64)
-                           for variable in variables], axis=1)
-                 for table in tables])
-            matrix, first = _unique_rows(np, stacked, return_index=True)
-            # First-occurrence order (np.unique sorts): keeps downstream
-            # batch inserts deterministic and kernel-independent.
-            matrix = matrix[np.argsort(first, kind="stable")]
-            columns = {variable: matrix[:, j]
-                       for j, variable in enumerate(variables)}
-            return BindingTable(columns, int(matrix.shape[0]))
         seen: Dict[Tuple[int, ...], None] = {}
         for table in tables:
             for key in table.code_rows(variables):
@@ -822,9 +587,8 @@ class ColumnarMatcher(IndexedMatcher):
 
         Several pivots (within a body and across a session's plans) share a
         predicate; encoding per predicate instead of per pivot keeps the
-        per-pivot seeding purely columnar.  Returns an ``(n, arity)`` int64
-        matrix on the numpy path, a list of code tuples on the fallback,
-        ``None`` when no delta row is live.
+        per-pivot seeding purely columnar.  Returns a list of code tuples,
+        or ``None`` when no delta row is live.
         """
         code = value_catalog().code
         # per-tuple: ok — delta rows are O(update), not O(data).  Repeated
@@ -834,16 +598,11 @@ class ColumnarMatcher(IndexedMatcher):
         self.stats.rows_scanned += len(kept)
         if not kept:
             return None
-        np = _cols._np
-        if np is not None:
-            return np.asarray([[code(value) for value in row]
-                               for row in kept], dtype=np.int64)
         return [tuple(code(value) for value in row) for row in kept]
 
     def _pivot_seed(self, pivot_atom: Atom, encoded) -> BindingTable:
         """Bind the pivot atom's variables over one predicate's encoded delta."""
         catalog = value_catalog()
-        np = _cols._np
         var_items: List[Tuple[Variable, int]] = []
         const_checks: List[Tuple[int, int]] = []
         dup_checks: List[Tuple[int, int]] = []
@@ -861,25 +620,9 @@ class ColumnarMatcher(IndexedMatcher):
                 if code is None:
                     empty = True  # constant never stored: no live row matches
                 const_checks.append((position, code))
-        arity = len(encoded[0]) if np is None else encoded.shape[1]
-        if empty or arity != pivot_atom.arity:
-            blank = np.empty(0, dtype=np.int64) if np is not None else []
-            return BindingTable(
-                {variable: blank for variable, _ in var_items}, 0)
-        if np is not None:
-            matrix = encoded
-            mask = None
-            for position, code in const_checks:
-                hit = matrix[:, position] == code
-                mask = hit if mask is None else mask & hit
-            for position, first in dup_checks:
-                hit = matrix[:, position] == matrix[:, first]
-                mask = hit if mask is None else mask & hit
-            if mask is not None and not mask.all():
-                matrix = matrix[mask]
-            columns = {variable: matrix[:, position]
-                       for variable, position in var_items}
-            return BindingTable(columns, int(matrix.shape[0]))
+        if empty or len(encoded[0]) != pivot_atom.arity:
+            return BindingTable({variable: [] for variable, _ in var_items},
+                                0)
         keep = [row for row in encoded
                 if all(row[position] == code
                        for position, code in const_checks)
@@ -927,43 +670,6 @@ class ColumnarMatcher(IndexedMatcher):
         index = {variable: j for j, variable in enumerate(variables)}
         projection = [index[variable] for variable in project]
         counts: Dict[Tuple[Any, ...], int] = {}
-        np = _cols._np
-        if np is not None and variables:
-            tables = [table
-                      for table in self._delta_tables(plan, instance, delta)
-                      if table.length]
-            if not tables:
-                return counts
-            if len(tables) == 1:
-                # One pivot: its rows already are the distinct valuations
-                # (deduped delta rows × distinct join extensions), so group
-                # directly on the projection columns.
-                table = tables[0]
-                if not projection:
-                    counts[()] = table.length
-                    return counts
-                matrix = np.stack(
-                    [np.asarray(table.columns[variable], dtype=np.int64)
-                     for variable in project], axis=1)
-                rows, multiplicity = _grouped_counts(np, matrix)
-            else:
-                stacked = np.concatenate(
-                    [np.stack([np.asarray(table.columns[variable],
-                                          dtype=np.int64)
-                               for variable in variables], axis=1)
-                     for table in tables])
-                # dedupe valuations reachable through several pivots
-                distinct, _ = _grouped_counts(np, stacked)
-                if not projection:
-                    counts[()] = int(distinct.shape[0])
-                    return counts
-                rows, multiplicity = _grouped_counts(
-                    np, distinct[:, projection])
-            # per-tuple: ok — unique answer rows, O(result) not O(data)
-            for row, count in zip(_decoded_rows(rows),
-                                  multiplicity.tolist()):
-                counts[row] = count
-            return counts
         values = value_catalog().values()
         seen: Set[Tuple[int, ...]] = set()
         for table in self._delta_tables(plan, instance, delta):
@@ -984,14 +690,8 @@ def _take_rows(table: BindingTable, keep: Sequence[int]) -> BindingTable:
         return table
     if not keep:
         return table.empty_like()
-    np = _cols._np
-    if np is not None:
-        index = np.asarray(keep, dtype=np.int64)
-        columns = {variable: np.asarray(column, dtype=np.int64)[index]
-                   for variable, column in table.columns.items()}
-    else:
-        columns = {variable: [column[i] for i in keep]
-                   for variable, column in table.columns.items()}
+    columns = {variable: list(map(column.__getitem__, keep))
+               for variable, column in table.columns.items()}
     return BindingTable(columns, len(keep))
 
 
@@ -1001,9 +701,8 @@ def _comparison_filter(table: BindingTable,
 
     ``=``/``==``/``!=`` act directly on the code columns: catalog codes
     biject with Python-equality classes (nulls included — label equality is
-    ``Null.__eq__``), so code (in)equality *is* the reference semantics, and
-    on the numpy path the whole comparison is one vectorized mask.  Ordering
-    operators must decode — their ``TypeError`` → string-order fallback
+    ``Null.__eq__``), so code (in)equality *is* the reference semantics.
+    Ordering operators must decode — their ``TypeError`` → string-order fallback
     depends on the actual values — but they gate only the few rows that
     survive the joins and the equality masks.  A comparison over a variable
     the table never bound fails every row, matching the reference's "both
@@ -1046,32 +745,17 @@ def _comparison_filter(table: BindingTable,
                 return table.empty_like()
             continue
         equalities.append((want_equal, codes[0], codes[1]))
-    np = _cols._np
     if equalities and table.length:
-        if np is not None:
-            mask = None
+        keep = []
+        for i in range(table.length):
             for want_equal, left, right in equalities:
-                lhs = left if isinstance(left, int) \
-                    else np.asarray(left, dtype=np.int64)
-                rhs = right if isinstance(right, int) \
-                    else np.asarray(right, dtype=np.int64)
-                hit = (lhs == rhs) if want_equal else (lhs != rhs)
-                mask = hit if mask is None else (mask & hit)
-            if not mask.all():
-                columns = {variable: np.asarray(column, dtype=np.int64)[mask]
-                           for variable, column in table.columns.items()}
-                table = BindingTable(columns, int(mask.sum()))
-        else:
-            keep = []
-            for i in range(table.length):
-                for want_equal, left, right in equalities:
-                    left_code = left if isinstance(left, int) else left[i]
-                    right_code = right if isinstance(right, int) else right[i]
-                    if (left_code == right_code) != want_equal:
-                        break
-                else:
-                    keep.append(i)
-            table = _take_rows(table, keep)
+                left_code = left if isinstance(left, int) else left[i]
+                right_code = right if isinstance(right, int) else right[i]
+                if (left_code == right_code) != want_equal:
+                    break
+            else:
+                keep.append(i)
+        table = _take_rows(table, keep)
     if not ordering or not table.length:
         return table
     values = catalog.values()
@@ -1080,9 +764,7 @@ def _comparison_filter(table: BindingTable,
         resolved = []
         for term in (comparison.left, comparison.right):
             if isinstance(term, Variable):
-                column = table.columns[term]  # bound: checked above
-                resolved.append(column.tolist()
-                                if hasattr(column, "tolist") else column)
+                resolved.append(table.columns[term])  # bound: checked above
             else:
                 resolved.append(term_value(term))
         sides.append((comparison, resolved[0], resolved[1]))

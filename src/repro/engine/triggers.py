@@ -11,8 +11,8 @@ This module applies a (rule, pivot)'s triggers **set-at-a-time**, straight
 off the :class:`~repro.engine.columnar.BindingTable`:
 
 * group the distinct joined bindings by the rule's *frontier* (the
-  universal variables that occur in the head) with the same mixed-radix
-  packed-key kernel the answer counts use;
+  universal variables that occur in the head), keeping first-occurrence
+  order;
 * for existential rules, filter already-satisfied groups with one group
   index probe per group (instead of one ``has_homomorphism`` join per
   trigger), then invent all labeled nulls in bulk — one
@@ -42,9 +42,6 @@ loop.  EGDs get the same treatment on the detection side:
 :meth:`TriggerBatcher.egd_candidates` compares the two sides' code columns
 over the whole joined table and decodes only the rows that actually
 differ, leaving the (rare) merges to the per-merge logic.
-
-Everything here runs on both kernels: vectorized when
-:mod:`repro.relational.columns` has numpy, plain lists otherwise.
 """
 
 from __future__ import annotations
@@ -54,10 +51,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..datalog.terms import Variable, term_value, to_term
 from ..datalog.unify import apply_to_atom
-from ..relational import columns as _cols
 from ..relational.instance import DatabaseInstance
 from ..relational.values import NullFactory, value_catalog
-from .columnar import BindingTable, _decode_array, _take_rows, _unique_rows
+from .columnar import BindingTable, _take_rows
 from .matching import DeltaJoinPlan, DeltaLike
 
 __all__ = ["BatchOutcome", "TriggerBatcher"]
@@ -150,10 +146,6 @@ class _RuleContext:
             self.sat_dup_pairs = tuple(dup_pairs)
 
 
-def _as_list(column) -> List[int]:
-    return column.tolist() if hasattr(column, "tolist") else column
-
-
 class TriggerBatcher:
     """Applies one chase run's TGD/EGD triggers batch-natively.
 
@@ -172,7 +164,7 @@ class TriggerBatcher:
     def apply(self, index: int, tgd, instance: DatabaseInstance,
               delta: Optional[DeltaLike],
               provenance: Optional[dict] = None) -> Optional[BatchOutcome]:
-        """Fire every applicable trigger of ``tgd`` in one vectorized pass.
+        """Fire every applicable trigger of ``tgd`` in one batch pass.
 
         Returns ``None`` when the rule shape is outside the exact batch
         semantics (see module docstring) — the caller falls back — and a
@@ -216,20 +208,6 @@ class TriggerBatcher:
         """
         if not context.frontier:
             return [], ([0] if want_reps else None)
-        np = _cols._np
-        if np is not None:
-            matrix = np.stack(
-                [np.asarray(table.columns[variable], dtype=np.int64)
-                 for variable in context.frontier], axis=1)
-            uniq, first = _unique_rows(np, matrix, return_index=True)
-            # First-occurrence order (np.unique sorts): keeps batch inserts
-            # in the same order the per-trigger loop — and the fallback
-            # kernel — would produce, so row order stays deterministic.
-            order = np.argsort(first, kind="stable")
-            uniq = uniq[order]
-            reps = [int(i) for i in first[order].tolist()] if want_reps \
-                else None
-            return [uniq[:, j] for j in range(len(context.frontier))], reps
         seen: Dict[Tuple[int, ...], int] = {}
         for i, key in enumerate(table.code_rows(context.frontier)):
             if key not in seen:
@@ -249,7 +227,7 @@ class TriggerBatcher:
         if not fired:
             return BatchOutcome(0, [])
         if fired != count:
-            columns = _gather_columns(columns, keep)
+            columns = [[column[g] for g in keep] for column in columns]
             if reps is not None:
                 reps = [reps[g] for g in keep]
         stats = self.matcher.stats
@@ -327,7 +305,7 @@ class TriggerBatcher:
         sources = []
         for kind, payload in context.sat_sources:
             if kind == _UNIVERSAL:
-                sources.append(_as_list(columns[payload]))
+                sources.append(columns[payload])
             else:
                 sources.append(repeat(payload, count))
         if len(sources) == 1:
@@ -346,7 +324,7 @@ class TriggerBatcher:
             if bucket is None:
                 out.append(g)
                 continue
-            for slot in _as_list(bucket):
+            for slot in bucket:
                 if all(left[slot] == right[slot]
                        for left, right in pair_columns):
                     break
@@ -368,7 +346,7 @@ class TriggerBatcher:
         """
         values = value_catalog().values()
         variables = list(table.columns)
-        lists = [_as_list(table.columns[variable]) for variable in variables]
+        lists = [table.columns[variable] for variable in variables]
         witnesses = (
             {variable: to_term(values[lists[j][int(rep)]])
              for j, variable in enumerate(variables)}
@@ -388,7 +366,7 @@ class TriggerBatcher:
                        ) -> Optional[List[dict]]:
         """The trigger substitutions of ``egd`` whose two sides differ.
 
-        Vectorized pre-filter for the EGD loop: compares the left/right
+        Batch pre-filter for the EGD loop: compares the left/right
         code columns over the whole joined table (codes biject with
         value-equality classes, nulls included) and decodes only the rows
         that could cause a merge or a conflict.  Returns ``None`` when the
@@ -410,30 +388,13 @@ class TriggerBatcher:
         right = _side_codes(table, egd.right, -2)
         if left is None or right is None:
             return None
-        np = _cols._np
-        if np is not None and not (isinstance(left, int)
-                                   and isinstance(right, int)):
-            lhs = left if isinstance(left, int) \
-                else np.asarray(left, dtype=np.int64)
-            rhs = right if isinstance(right, int) \
-                else np.asarray(right, dtype=np.int64)
-            keep = np.nonzero(lhs != rhs)[0].tolist()
-        else:
-            n = table.length
-            lhs = [left] * n if isinstance(left, int) else _as_list(left)
-            rhs = [right] * n if isinstance(right, int) else _as_list(right)
-            keep = [i for i in range(n) if lhs[i] != rhs[i]]
+        n = table.length
+        lhs = [left] * n if isinstance(left, int) else left
+        rhs = [right] * n if isinstance(right, int) else right
+        keep = [i for i in range(n) if lhs[i] != rhs[i]]
         if not keep:
             return []
         return list(_take_rows(table, keep).substitutions())
-
-
-def _gather_columns(columns, keep: Sequence[int]):
-    np = _cols._np
-    if np is not None and columns and hasattr(columns[0], "shape"):
-        index = np.asarray(keep, dtype=np.int64)
-        return [column[index] for column in columns]
-    return [[column[g] for g in keep] for column in columns]
 
 
 def _head_rows(descriptors, columns, null_codes: Optional[List[int]],
@@ -445,29 +406,6 @@ def _head_rows(descriptors, columns, null_codes: Optional[List[int]],
     ``k``-th existential sits at ``null_codes[g * null_width + k]``).
     Returns ``(rows, code_rows)`` ready for ``Relation.add_many``.
     """
-    np = _cols._np
-    if np is not None:
-        parts = []
-        nulls_matrix = None
-        for kind, payload in descriptors:
-            if kind == _UNIVERSAL:
-                parts.append(np.asarray(columns[payload], dtype=np.int64))
-            elif kind == _CONSTANT:
-                parts.append(np.full(count, payload, dtype=np.int64))
-            else:
-                if nulls_matrix is None:
-                    nulls_matrix = np.asarray(null_codes, dtype=np.int64) \
-                        .reshape(count, null_width)
-                parts.append(nulls_matrix[:, payload])
-        if not parts:
-            return [()] * count, [()] * count
-        matrix = np.stack(parts, axis=1)
-        decode = _decode_array()
-        value_columns = [decode[matrix[:, j]].tolist()
-                         for j in range(len(parts))]
-        rows = list(zip(*value_columns))
-        code_rows = [tuple(codes) for codes in matrix.tolist()]
-        return rows, code_rows
     values = value_catalog().values()
     sources: List[Any] = []
     for kind, payload in descriptors:

@@ -12,8 +12,7 @@ Stores are built **lazily** on first columnar access (a relation that is
 never matched by the columnar engine pays nothing, and snapshot restores
 that assign rows wholesale rebuild columns on first use) and from then on
 maintained incrementally by ``Relation.add``/``discard``/``add_many``.
-Deletion uses swap-remove so the columns stay dense; every mutation bumps a
-generation counter that invalidates the cached numpy views.
+Deletion uses swap-remove so the columns stay dense.
 
 Group indexes are maintained by **delta merge**, not invalidation: an
 append (single or bulk via :meth:`ColumnStore.extend`) inserts the new
@@ -24,36 +23,14 @@ round's joins probe again, and rebuilding them per round would make the
 batched trigger path O(data) instead of O(delta).  Each merge is counted
 process-wide (:func:`index_delta_merge_count`) so evaluators can report
 ``index_delta_merges`` in their stats.
-
-numpy is **optional**: when importable (and not disabled via the
-``REPRO_NO_NUMPY`` environment variable) columns are additionally exposed
-as cached ``int64`` ndarrays, bucket lookups yield cached ``int64`` slot
-arrays, and the kernels vectorize; otherwise the same kernels run over
-plain Python lists.  Both paths are exercised by the columnar differential
-suite.
 """
 
 from __future__ import annotations
 
-import os
 from array import array
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .values import value_catalog
-
-if os.environ.get("REPRO_NO_NUMPY") == "1":
-    _np = None
-else:
-    try:
-        import numpy as _np
-    except Exception:  # pragma: no cover - depends on the environment
-        _np = None
-
-
-def have_numpy() -> bool:
-    """``True`` when the vectorized (numpy) kernel path is active."""
-    return _np is not None
-
 
 #: process-wide count of group-index delta merges (incremental updates of
 #: an already-built index, where the pre-PR store invalidated and rebuilt);
@@ -72,29 +49,18 @@ Row = Tuple[Any, ...]
 class _GroupIndex:
     """One maintained group index: code key → slots carrying it.
 
-    The canonical buckets are plain lists (cheap to patch incrementally);
-    on the numpy path :meth:`get` hands out a cached ``int64`` ndarray per
-    bucket — the join kernels gather through fancy indexing — and the
-    mutation hooks drop exactly the touched keys' cached arrays.
+    Buckets are plain lists of slots (cheap to patch incrementally); the
+    join kernels read them in place, so treat a returned bucket as
+    read-only.
     """
 
-    __slots__ = ("_buckets", "_arrays")
+    __slots__ = ("_buckets",)
 
     def __init__(self, buckets: Dict[Any, List[int]]):
         self._buckets = buckets
-        self._arrays: Dict[Any, Any] = {}
 
     def get(self, key: Any, default: Any = None) -> Any:
-        bucket = self._buckets.get(key)
-        if bucket is None:
-            return default
-        if _np is None:
-            return bucket
-        cached = self._arrays.get(key)
-        if cached is None:
-            cached = _np.asarray(bucket, dtype=_np.int64)
-            self._arrays[key] = cached
-        return cached
+        return self._buckets.get(key, default)
 
     def __getitem__(self, key: Any) -> Any:
         found = self.get(key)
@@ -119,7 +85,6 @@ class _GroupIndex:
             self._buckets[key] = [slot]
         else:
             bucket.append(slot)
-        self._arrays.pop(key, None)
 
     def _remove(self, key: Any, slot: int) -> None:
         bucket = self._buckets.get(key)
@@ -129,11 +94,8 @@ class _GroupIndex:
             bucket.remove(slot)
         except ValueError:
             return
-        if bucket:
-            self._arrays.pop(key, None)
-        else:
+        if not bucket:
             del self._buckets[key]
-            self._arrays.pop(key, None)
 
     def _relocate(self, key: Any, old_slot: int, new_slot: int) -> None:
         bucket = self._buckets.get(key)
@@ -143,7 +105,6 @@ class _GroupIndex:
             bucket[bucket.index(old_slot)] = new_slot
         except ValueError:
             return
-        self._arrays.pop(key, None)
 
 
 def _group_key(codes: Sequence[int], positions: Tuple[int, ...]) -> Any:
@@ -156,8 +117,7 @@ def _group_key(codes: Sequence[int], positions: Tuple[int, ...]) -> Any:
 class ColumnStore:
     """Dense code columns over one relation's tuples (see module docstring)."""
 
-    __slots__ = ("arity", "_columns", "_rows", "_pos", "generation",
-                 "_np_columns", "_np_generation", "_groups")
+    __slots__ = ("arity", "_columns", "_rows", "_pos", "_groups")
 
     def __init__(self, arity: int):
         self.arity = arity
@@ -167,10 +127,6 @@ class ColumnStore:
         self._rows: List[Row] = []
         #: row -> slot (drives swap-remove deletion)
         self._pos: Dict[Row, int] = {}
-        #: bumped on every mutation; invalidates caches derived from columns
-        self.generation = 0
-        self._np_columns: Optional[list] = None
-        self._np_generation = -1
         #: positions tuple -> maintained group index (delta-merged, not
         #: rebuilt: see module docstring)
         self._groups: Dict[Tuple[int, ...], _GroupIndex] = {}
@@ -201,8 +157,6 @@ class ColumnStore:
         codes = [code(value) for value in row]
         for position, column in enumerate(self._columns):
             column.append(codes[position])
-        self.generation += 1
-        self._np_columns = None
         if self._groups:
             global _INDEX_DELTA_MERGES
             for positions, index in self._groups.items():
@@ -216,8 +170,7 @@ class ColumnStore:
         ``code_rows`` — the rows' catalog codes, positionally aligned — lets
         callers that already encoded the batch (the batched trigger path
         instantiates heads as code arrays) skip re-encoding here.  Group
-        indexes are delta-merged with the new slots; the numpy column cache
-        is invalidated once for the whole batch instead of per row.
+        indexes are delta-merged with the new slots.
         """
         if not rows:
             return
@@ -232,8 +185,6 @@ class ColumnStore:
             stored.append(row)
         for position, column in enumerate(self._columns):
             column.extend([codes[position] for codes in code_rows])
-        self.generation += 1
-        self._np_columns = None
         if self._groups:
             global _INDEX_DELTA_MERGES
             for positions, index in self._groups.items():
@@ -259,8 +210,6 @@ class ColumnStore:
         self._rows.pop()
         for column in self._columns:
             column.pop()
-        self.generation += 1
-        self._np_columns = None
         if groups:
             global _INDEX_DELTA_MERGES
             for positions, index in groups.items():
@@ -279,27 +228,16 @@ class ColumnStore:
         """The raw code column at ``position`` (treat as read-only)."""
         return self._columns[position]
 
-    def np_columns(self) -> list:
-        """All columns as cached ``int64`` ndarrays (numpy path only)."""
-        if self._np_generation != self.generation or self._np_columns is None:
-            # np.array (not asarray): a buffer-protocol *view* over the
-            # array('q') would lock it against resizing appends.
-            self._np_columns = [_np.array(column, dtype=_np.int64)
-                                for column in self._columns]
-            self._np_generation = self.generation
-        return self._np_columns
-
     def group_index(self, positions: Tuple[int, ...]) -> _GroupIndex:
         """Code key at ``positions`` → slots carrying it (maintained).
 
         The columnar analogue of ``Relation.index_on``: one dict probe per
         binding row answers "which stored rows agree with these codes".
         Keys are a bare int for single-position indexes, a code tuple
-        otherwise; slot buckets come back as ``int64`` ndarrays on the
-        numpy path (ready for fancy-index gathers) and plain lists on the
-        fallback.  Built once by a full scan, then kept consistent by the
-        mutation hooks (delta merge), so the build cost is paid once per
-        (store, positions) instead of once per mutation burst.
+        otherwise; slot buckets come back as plain lists.  Built once by a
+        full scan, then kept consistent by the mutation hooks (delta merge),
+        so the build cost is paid once per (store, positions) instead of
+        once per mutation burst.
         """
         index = self._groups.get(positions)
         if index is None:
@@ -332,5 +270,4 @@ class ColumnStore:
         return clone
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
-        return (f"ColumnStore(arity={self.arity}, rows={len(self._rows)}, "
-                f"generation={self.generation})")
+        return f"ColumnStore(arity={self.arity}, rows={len(self._rows)})"

@@ -14,12 +14,7 @@ families as the session/IVM differentials plus generated MD workloads,
   pivoting randomized deltas through a :class:`DeltaJoinPlan`;
 * **update streams / IVM** — a columnar-engined session absorbing a
   randomized update stream keeps answering exactly like a from-scratch
-  chase, with maintenance actually running (no silent fallback);
-
-each on **both kernel paths**: vectorized (numpy) and the pure-Python
-fallback (``repro.relational.columns._np`` monkeypatched to ``None``, the
-same switch the ``REPRO_NO_NUMPY`` environment variable throws at import
-time).
+  chase, with maintenance actually running (no silent fallback).
 """
 
 from __future__ import annotations
@@ -36,27 +31,12 @@ from repro.datalog.rules import EGD, TGD
 from repro.datalog.terms import Variable
 from repro.engine.matching import DeltaJoinPlan, matcher_for
 from repro.engine.session import MaterializedProgram, QuerySession
-from repro.relational import columns as columns_module
 from repro.relational.instance import DatabaseInstance
 from repro.workloads import WorkloadSpec, generate_workload
 
 from test_session_differential import (CONSTANTS, _ground_facts,
                                        _random_program, _random_queries,
                                        _random_updates)
-
-KERNELS = ("numpy", "fallback")
-
-
-@pytest.fixture(params=KERNELS)
-def kernel(request, monkeypatch):
-    """Run the test body under each columnar kernel path."""
-    if request.param == "numpy":
-        if columns_module._np is None:
-            pytest.skip("numpy not available in this environment")
-    else:
-        monkeypatch.setattr(columns_module, "_np", None)
-    return request.param
-
 
 def _fact_sets(result):
     """(all facts, ground facts) of a chase result, name-keyed."""
@@ -77,7 +57,7 @@ def _substitution_keys(homomorphisms):
 
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("existential", (False, True))
-def test_chase_columnar_equals_reference(seed, existential, kernel):
+def test_chase_columnar_equals_reference(seed, existential):
     program = _random_program(seed, existential=existential)
     reference = chase(program, engine="indexed", check_constraints=False)
     columnar = chase(program, engine="columnar", check_constraints=False)
@@ -91,7 +71,7 @@ def test_chase_columnar_equals_reference(seed, existential, kernel):
     assert columnar.stats.engine == "columnar"
 
 
-def test_chase_uses_batch_path(kernel):
+def test_chase_uses_batch_path():
     program = _random_program(3, existential=False)
     result = chase(program, engine="columnar", check_constraints=False)
     assert result.stats.batch_joins > 0
@@ -126,7 +106,7 @@ def _existential_heavy_program(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_existential_heavy_chase_equals_reference(seed, kernel):
+def test_existential_heavy_chase_equals_reference(seed):
     program = _existential_heavy_program(seed)
     results = {engine: chase(program, engine=engine, check_constraints=False)
                for engine in ("naive", "indexed", "columnar")}
@@ -169,7 +149,7 @@ def _egd_merge_heavy_program(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_egd_merge_heavy_chase_equals_reference(seed, kernel):
+def test_egd_merge_heavy_chase_equals_reference(seed):
     program = _egd_merge_heavy_program(seed)
     results = {engine: chase(program, engine=engine)
                for engine in ("naive", "indexed", "columnar")}
@@ -186,7 +166,7 @@ def test_egd_merge_heavy_chase_equals_reference(seed, kernel):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_query_counts_equal_across_engines(seed, kernel):
+def test_query_counts_equal_across_engines(seed):
     program = _random_program(seed, existential=True)
     chased = chase(program, check_constraints=False)
     rng = random.Random(7000 + seed)
@@ -204,7 +184,7 @@ def test_query_counts_equal_across_engines(seed, kernel):
             answers["naive"], str(query)
 
 
-def test_workload_queries_equal(kernel):
+def test_workload_queries_equal():
     """Generated MD-style workloads (the benchmark shape) agree too."""
     spec = WorkloadSpec(dimensions=1, depth=3, fanout=3, top_members=2,
                         base_relations=1, tuples_per_relation=60,
@@ -222,7 +202,7 @@ def test_workload_queries_equal(kernel):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_delta_join_plans_equal(seed, kernel):
+def test_delta_join_plans_equal(seed):
     program = _random_program(seed, existential=False)
     chased = chase(program, check_constraints=False)
     rng = random.Random(8000 + seed)
@@ -255,7 +235,7 @@ def test_delta_join_plans_equal(seed, kernel):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_update_streams_columnar_equals_scratch(seed, kernel):
+def test_update_streams_columnar_equals_scratch(seed):
     program = _random_program(seed, existential=False)
     materialized = MaterializedProgram(program, engine="columnar")
     rng = random.Random(6000 + seed)
@@ -271,7 +251,7 @@ def test_update_streams_columnar_equals_scratch(seed, kernel):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_ivm_maintenance_columnar_equals_scratch(seed, kernel):
+def test_ivm_maintenance_columnar_equals_scratch(seed):
     program = _random_program(seed, existential=True)
     materialized = MaterializedProgram(program, engine="columnar")
     session = QuerySession(materialized)
@@ -294,7 +274,7 @@ def test_ivm_maintenance_columnar_equals_scratch(seed, kernel):
     assert session.stats.maintenance_fallbacks == 0
 
 
-def test_columnar_counters_and_codegen_cache(kernel):
+def test_columnar_counters_and_codegen_cache():
     """The batch path bills its counters; repeated shapes hit the codegen
     cache."""
     program = _random_program(2, existential=False)

@@ -11,9 +11,13 @@ billed to ``stats.support_evictions``).
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
-
+import repro
 from repro.datalog import parse_program
 from repro.engine.session import MaterializedProgram, QuerySession
 from repro.relational.columns import ColumnStore, index_delta_merge_count
@@ -51,10 +55,8 @@ def test_column_store_mirrors_relation_mutations():
     relation = _relation_with_rows([("a", 1), ("b", 2), ("c", 3)])
     store = relation.column_store()
     assert len(store) == 3
-    generation = store.generation
     relation.add(("d", 4))
     assert len(store) == 4
-    assert store.generation > generation
     relation.discard(("b", 2))
     assert len(store) == 3
     # Swap-remove keeps columns dense and positions consistent.
@@ -146,10 +148,10 @@ def test_group_index_consistent_under_bulk_extends_and_discards():
             batch = [(f"k{rng.randrange(8)}", rng.randrange(3), next_value + j)
                      for j in range(rng.randrange(1, 5))]
             next_value += len(batch)
-            generation = store.generation
+            mutations = relation._mutations
             assert all(relation.add_many(batch))
             # one bulk extend per batch, not one mutation per row
-            assert store.generation == generation + 1
+            assert relation._mutations == mutations + 1
         else:
             relation.discard(rng.choice(sorted(relation.rows())))
         # the SAME index objects are maintained in place, never swapped out
@@ -280,3 +282,48 @@ def test_eviction_survives_update_maintenance():
     for query in queries:
         assert session.answers(query) == reference.answers(query), query
     assert session.stats.support_evictions > 0
+
+
+# -- dependencies -------------------------------------------------------------
+
+#: a columnar quality session end to end: build, chase, assess, a full-scan
+#: plain answer and a quality answer; prints the third-party modules (from
+#: the interpreter's site-packages) the run imported
+_THIRD_PARTY_SCRIPT = """
+import sys
+import sysconfig
+
+def third_party():
+    paths = sysconfig.get_paths()
+    roots = tuple({paths["purelib"], paths["platlib"]})
+    return {name for name, module in list(sys.modules.items())
+            if (getattr(module, "__file__", None) or "").startswith(roots)}
+
+before = third_party()
+from repro.quality.session import QualitySession
+from repro.scenarios import build_scenario
+from repro.sensornet.data import SensorNetSpec
+
+scenario = build_scenario("sensornet", spec=SensorNetSpec(readings=200))
+session = QualitySession(scenario.context, scenario.instance,
+                         engine="columnar")
+assert session.assess().relations
+full = "?(S, D, V) :- SensorReadings(S, D, V)."
+assert session.query_session.answers(full)
+assert session.quality_answers(full)
+print(sorted(name for name in third_party() - before
+             if not name.startswith("repro")))
+"""
+
+
+def test_columnar_session_imports_no_third_party_module():
+    """The columnar engine runs on the standard library alone: a quality
+    session at sensornet tier S loads nothing from site-packages."""
+    env = dict(os.environ)
+    src = str(Path(repro.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    done = subprocess.run([sys.executable, "-c", _THIRD_PARTY_SCRIPT],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
