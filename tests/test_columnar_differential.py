@@ -14,12 +14,19 @@ families as the session/IVM differentials plus generated MD workloads,
   pivoting randomized deltas through a :class:`DeltaJoinPlan`;
 * **update streams / IVM** — a columnar-engined session absorbing a
   randomized update stream keeps answering exactly like a from-scratch
-  chase, with maintenance actually running (no silent fallback).
+  chase, with maintenance actually running (no silent fallback);
+
+each under both settings of the ``numeric_library`` fixture: with numpy
+loaded in the process, and with it made unimportable, as on an install
+without it.  The engine imports only the standard library, so both must
+give the same results.
 """
 
 from __future__ import annotations
 
+import importlib.util
 import random
+import sys
 
 import pytest
 
@@ -37,6 +44,18 @@ from repro.workloads import WorkloadSpec, generate_workload
 from test_session_differential import (CONSTANTS, _ground_facts,
                                        _random_program, _random_queries,
                                        _random_updates)
+
+
+@pytest.fixture(params=("numpy", "fallback"))
+def numeric_library(request, monkeypatch):
+    """Run the test body with numpy loaded, then with it unimportable."""
+    if request.param == "numpy":
+        if importlib.util.find_spec("numpy") is not None:
+            importlib.import_module("numpy")
+    else:
+        monkeypatch.setitem(sys.modules, "numpy", None)
+    return request.param
+
 
 def _fact_sets(result):
     """(all facts, ground facts) of a chase result, name-keyed."""
@@ -57,7 +76,7 @@ def _substitution_keys(homomorphisms):
 
 @pytest.mark.parametrize("seed", range(10))
 @pytest.mark.parametrize("existential", (False, True))
-def test_chase_columnar_equals_reference(seed, existential):
+def test_chase_columnar_equals_reference(seed, existential, numeric_library):
     program = _random_program(seed, existential=existential)
     reference = chase(program, engine="indexed", check_constraints=False)
     columnar = chase(program, engine="columnar", check_constraints=False)
@@ -71,7 +90,7 @@ def test_chase_columnar_equals_reference(seed, existential):
     assert columnar.stats.engine == "columnar"
 
 
-def test_chase_uses_batch_path():
+def test_chase_uses_batch_path(numeric_library):
     program = _random_program(3, existential=False)
     result = chase(program, engine="columnar", check_constraints=False)
     assert result.stats.batch_joins > 0
@@ -106,7 +125,7 @@ def _existential_heavy_program(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_existential_heavy_chase_equals_reference(seed):
+def test_existential_heavy_chase_equals_reference(seed, numeric_library):
     program = _existential_heavy_program(seed)
     results = {engine: chase(program, engine=engine, check_constraints=False)
                for engine in ("naive", "indexed", "columnar")}
@@ -149,7 +168,7 @@ def _egd_merge_heavy_program(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_egd_merge_heavy_chase_equals_reference(seed):
+def test_egd_merge_heavy_chase_equals_reference(seed, numeric_library):
     program = _egd_merge_heavy_program(seed)
     results = {engine: chase(program, engine=engine)
                for engine in ("naive", "indexed", "columnar")}
@@ -166,7 +185,7 @@ def test_egd_merge_heavy_chase_equals_reference(seed):
 
 
 @pytest.mark.parametrize("seed", range(8))
-def test_query_counts_equal_across_engines(seed):
+def test_query_counts_equal_across_engines(seed, numeric_library):
     program = _random_program(seed, existential=True)
     chased = chase(program, check_constraints=False)
     rng = random.Random(7000 + seed)
@@ -184,7 +203,7 @@ def test_query_counts_equal_across_engines(seed):
             answers["naive"], str(query)
 
 
-def test_workload_queries_equal():
+def test_workload_queries_equal(numeric_library):
     """Generated MD-style workloads (the benchmark shape) agree too."""
     spec = WorkloadSpec(dimensions=1, depth=3, fanout=3, top_members=2,
                         base_relations=1, tuples_per_relation=60,
@@ -202,7 +221,7 @@ def test_workload_queries_equal():
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_delta_join_plans_equal(seed):
+def test_delta_join_plans_equal(seed, numeric_library):
     program = _random_program(seed, existential=False)
     chased = chase(program, check_constraints=False)
     rng = random.Random(8000 + seed)
@@ -235,7 +254,7 @@ def test_delta_join_plans_equal(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_update_streams_columnar_equals_scratch(seed):
+def test_update_streams_columnar_equals_scratch(seed, numeric_library):
     program = _random_program(seed, existential=False)
     materialized = MaterializedProgram(program, engine="columnar")
     rng = random.Random(6000 + seed)
@@ -251,7 +270,7 @@ def test_update_streams_columnar_equals_scratch(seed):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_ivm_maintenance_columnar_equals_scratch(seed):
+def test_ivm_maintenance_columnar_equals_scratch(seed, numeric_library):
     program = _random_program(seed, existential=True)
     materialized = MaterializedProgram(program, engine="columnar")
     session = QuerySession(materialized)
@@ -274,7 +293,7 @@ def test_ivm_maintenance_columnar_equals_scratch(seed):
     assert session.stats.maintenance_fallbacks == 0
 
 
-def test_columnar_counters_and_codegen_cache():
+def test_columnar_counters_and_codegen_cache(numeric_library):
     """The batch path bills its counters; repeated shapes hit the codegen
     cache."""
     program = _random_program(2, existential=False)
