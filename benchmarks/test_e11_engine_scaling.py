@@ -3,9 +3,7 @@
 Sweeps the extensional database size and, at each size, runs the same
 workload — chase the ontology, then answer the full query batch — once on
 the naive row-scanning engine and once on the indexed delta-driven engine.
-Both must return identical answers; the timing trajectory (with the
-engine's instrumentation counters) is written to ``BENCH_engine.json`` at
-the repository root so successive runs can be compared.
+Both must return identical answers.
 
 The motivating claim (see docs/ARCHITECTURE.md): putting one indexed
 matching engine under every evaluator turns the chase's per-round
@@ -16,34 +14,30 @@ path must be at least 5× faster.
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from pathlib import Path
 
 from repro.datalog import certain_answers, chase
 from repro.workloads import WorkloadSpec, generate_workload
 
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
-
 #: REPRO_BENCH_SMOKE=1 shrinks the sweep so CI can exercise this code on
-#: every push: tiny sizes, no speedup gate, no artifact write.
+#: every push: tiny sizes, no speedup gate.
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 SIZES = (20, 40) if SMOKE else (100, 200, 400, 800)
 
 
 def _run_workload(program, queries, engine: str):
-    """Chase + full query batch on one engine; returns (seconds, answers, stats)."""
+    """Chase + full query batch on one engine; returns (seconds, answers)."""
     start = time.perf_counter()
     result = chase(program, engine=engine, check_constraints=False)
     answers = [certain_answers(program, query, chase_result=result, engine=engine)
                for query in queries]
     elapsed = time.perf_counter() - start
-    return elapsed, answers, result.stats
+    return elapsed, answers
 
 
 def test_engine_scaling_records_trajectory():
-    """Indexed ≡ naive at every size; ≥5× faster at the largest; emits JSON."""
+    """Indexed ≡ naive at every size; ≥5× faster at the largest."""
     base = WorkloadSpec(dimensions=1, depth=3, fanout=3, top_members=2,
                         base_relations=1, upward_rules=True,
                         downward_rules=False, seed=13)
@@ -51,55 +45,28 @@ def test_engine_scaling_records_trajectory():
     for size in SIZES:
         workload = generate_workload(base.scaled(tuples_per_relation=size))
         program = workload.ontology.program()
-        naive_seconds, naive_answers, naive_stats = _run_workload(
+        naive_seconds, naive_answers = _run_workload(
             program, workload.queries, "naive")
         # Best of two for the indexed path: its sub-50ms measurement is the
         # noise-prone side of the ratio on loaded CI runners.
-        indexed_seconds, indexed_answers, indexed_stats = min(
+        indexed_seconds, indexed_answers = min(
             (_run_workload(program, workload.queries, "indexed") for _ in range(2)),
             key=lambda run: run[0])
         assert indexed_answers == naive_answers
         speedup = naive_seconds / indexed_seconds if indexed_seconds > 0 else float("inf")
         trajectory.append({
             "tuples_per_relation": size,
-            "extensional_facts": workload.total_facts(),
-            "queries": len(workload.queries),
             "naive_seconds": round(naive_seconds, 6),
             "indexed_seconds": round(indexed_seconds, 6),
             "speedup": round(speedup, 2),
-            "naive_stats": naive_stats.as_dict(),
-            "indexed_stats": indexed_stats.as_dict(),
         })
 
     largest = trajectory[-1]
     if SMOKE:
-        return  # tiny sizes: no speedup gate, don't pollute the artifact
+        return  # tiny sizes: no speedup gate
     assert largest["speedup"] >= 5.0, (
         f"indexed engine only {largest['speedup']}x faster than naive at the "
         f"largest size; trajectory: {trajectory}")
-
-    # Append this run to the artifact (bounded history) so successive runs
-    # really can be compared; "trajectory" always mirrors the latest run.
-    history = []
-    if ARTIFACT.exists():
-        try:
-            history = json.loads(ARTIFACT.read_text(encoding="utf-8")).get("runs", [])
-        except (json.JSONDecodeError, AttributeError):
-            history = []
-    run_record = {
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "trajectory": trajectory,
-    }
-    history = (history + [run_record])[-20:]
-    ARTIFACT.write_text(json.dumps({
-        "experiment": "E11-engine-scaling",
-        "workload": {"dimensions": 1, "depth": 3, "fanout": 3,
-                     "upward_rules": True, "seed": 13},
-        "sizes": list(SIZES),
-        "trajectory": trajectory,
-        "runs": history,
-    }, indent=2) + "\n", encoding="utf-8")
-    assert ARTIFACT.exists()
 
 
 def test_indexed_engine_scans_fewer_rows():

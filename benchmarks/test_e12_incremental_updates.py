@@ -8,7 +8,7 @@ retractions) two ways:
 * **incremental** — ``add_facts``/``retract_facts`` re-enter the
   delta-driven chase seeded with the changed facts, then the query batch is
   re-answered through a :class:`~repro.engine.session.QuerySession` (cached
-  parses and join plans; answers maintained by the update's fact delta);
+  parses; answers maintained by the update's fact delta);
 * **full** — the status-quo path: apply the update to the EDB, re-chase the
   whole program from scratch, evaluate the same queries.
 

@@ -11,18 +11,16 @@ Sweeps the extensional database size and, at each size:
 
 Both sessions must produce identical certain answers on the workload's
 query batch, and both must stay *live*: one update step is applied to each
-and the answers must still agree.  The per-size timing trajectory is
-written to ``BENCH_snapshot.json``; the motivating claim is that at the
+and the answers must still agree.  The motivating claim is that at the
 largest size restoring is at least 5× faster than re-chasing.
 
 Setting ``REPRO_BENCH_SMOKE=1`` shrinks the sweep to seconds (tiny sizes,
-no 5× gate, no artifact write) so CI can exercise this code on every push.
+no 5× gate) so CI can exercise this code on every push.
 """
 
 from __future__ import annotations
 
 import gc
-import json
 import os
 import tempfile
 import time
@@ -32,8 +30,6 @@ from pathlib import Path
 from repro.engine.session import MaterializedProgram, QuerySession
 from repro.workloads import (WorkloadSpec, generate_update_stream,
                              generate_workload)
-
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_snapshot.json"
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 SIZES = (20, 40) if SMOKE else (100, 200, 400, 800)
@@ -112,7 +108,7 @@ def _run_one_size(size: int, snapshot_dir: Path):
 
 
 def test_snapshot_restore_beats_cold_rechase(tmp_path):
-    """Restore ≡ cold at every size; ≥5× faster at the largest; emits JSON."""
+    """Restore ≡ cold at every size; ≥5× faster at the largest."""
     with tempfile.TemporaryDirectory(dir=tmp_path) as snapshot_dir:
         trajectory = [_run_one_size(size, Path(snapshot_dir))
                       for size in SIZES]
@@ -122,28 +118,3 @@ def test_snapshot_restore_beats_cold_rechase(tmp_path):
         assert largest["speedup"] >= MIN_SPEEDUP, (
             f"snapshot restore only {largest['speedup']}x faster than a cold "
             f"re-chase at the largest size; trajectory: {trajectory}")
-
-    if SMOKE:
-        return  # tiny sizes would pollute the recorded trajectory
-
-    history = []
-    if ARTIFACT.exists():
-        try:
-            history = json.loads(ARTIFACT.read_text(encoding="utf-8")).get("runs", [])
-        except (json.JSONDecodeError, AttributeError):
-            history = []
-    run_record = {
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "trajectory": trajectory,
-    }
-    history = (history + [run_record])[-20:]
-    ARTIFACT.write_text(json.dumps({
-        "experiment": "E13-snapshot-restore",
-        "workload": {"dimensions": 2, "depth": 3, "fanout": 3,
-                     "base_relations": 2, "upward_rules": True,
-                     "downward_rules": True, "seed": 13},
-        "sizes": list(SIZES),
-        "trajectory": trajectory,
-        "runs": history,
-    }, indent=2) + "\n", encoding="utf-8")
-    assert ARTIFACT.exists()

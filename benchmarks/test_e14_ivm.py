@@ -1,51 +1,37 @@
-"""E14 — Answer maintenance: update cached answers by delta vs re-answer.
+"""E14 — Answer maintenance: answers updated by delta equal recomputed ones.
 
 PR 2 cached query answers with predicate-level invalidation: any update
 touching a query's predicates discarded the cached answer and re-ran the
-whole join.  This experiment measures the counting-based incremental view
-maintenance that replaced it (:mod:`repro.engine.session`): the same
-materialization absorbs the same update stream twice, answering the same
-query batch after every step —
+whole join.  :class:`~repro.engine.session.QuerySession` now keeps every
+answered query as counting-based incremental view maintenance state
+(Gupta, Mumick & Subrahmanian, SIGMOD 1993): each update's fact delta is
+propagated through compiled :class:`~repro.engine.matching.DeltaJoinPlan`
+pivots, moving the cached support counts in place, so reads never
+re-join.  This experiment absorbs a generated update stream into one
+materialization, answering a standing query batch after every step, and
+checks those maintained answers against a from-scratch session over the
+same extensional database (``materialized.edb_program()``).  The
+maintained path must actually maintain: no fallback, no full re-chase.
 
-* **maintained** — the default :class:`QuerySession`: every update's fact
-  delta is propagated through compiled
-  :class:`~repro.engine.matching.DeltaJoinPlan` pivots, moving the cached
-  support counts in place; reads never re-join;
-* **invalidate** — ``QuerySession(maintain_answers=False)``: the PR 2
-  behaviour, re-answering every touched query from scratch.
+What maintenance costs end to end is measured by ``bench/run.py``
+(``session-update``), not here.
 
-Both sessions must produce identical answers after every step.  The
-motivating claim, gated at the largest size: the maintained update→answer
-cycle is at least 5× faster than invalidate-and-reanswer.
-
-The artifact (``BENCH_ivm.json``) also records the constant-interning
-microbenchmark for the ingestion satellite: probing a set of rows built
-from dictionary-encoded (interned) constants versus freshly-allocated equal
-strings — interned rows hit CPython's pointer-identity equality fast path.
-
-Setting ``REPRO_BENCH_SMOKE=1`` shrinks the sweep to seconds (tiny sizes,
-no 5× gate, no artifact write) so CI can exercise this code on every push.
+Setting ``REPRO_BENCH_SMOKE=1`` shrinks the sweep to tiny sizes so CI can
+exercise this code on every push.
 """
 
 from __future__ import annotations
 
-import json
 import os
-import time
-from pathlib import Path
 
 from repro.datalog import parse_query
 from repro.engine.session import MaterializedProgram, QuerySession
-from repro.relational.values import ValueInterner
 from repro.workloads import (WorkloadSpec, generate_update_stream,
                              generate_workload)
-
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_ivm.json"
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 SIZES = (20, 40) if SMOKE else (200, 400, 800)
 STEPS = 3 if SMOKE else 8
-MIN_SPEEDUP = 0.0 if SMOKE else 5.0
 
 
 def _query_batch(workload):
@@ -54,8 +40,8 @@ def _query_batch(workload):
     The generated workload carries point queries and one roll-up scan; the
     session posture the paper motivates ("assess once, query many") keeps a
     *batch* of standing queries warm, so the harness adds projections over
-    the base relation and a base⋈roll-up join — the queries whose
-    re-answering cost predicate-level invalidation keeps paying.
+    the base relation and a base⋈roll-up join — queries most update steps
+    reach, so maintenance runs on every step.
     """
     program = workload.ontology.program()
     database = program.database
@@ -78,132 +64,37 @@ def _query_batch(workload):
     return queries
 
 
-def _replay(program, stream, queries, maintain: bool):
-    """Absorb ``stream``, answering ``queries`` after every step; timed."""
-    materialized = MaterializedProgram(program)
-    session = QuerySession(materialized, maintain_answers=maintain)
-    session.answer_many(queries)  # warm caches (the session posture)
-    per_step_answers = []
-    seconds = 0.0
-    for step in stream:
-        start = time.perf_counter()
-        materialized.add_facts(step.adds)
-        materialized.retract_facts(step.retracts)
-        answers = session.answer_many(queries).answers
-        seconds += time.perf_counter() - start
-        per_step_answers.append(answers)
-    return materialized, session, per_step_answers, seconds / len(stream)
+def _recomputed(materialized, queries):
+    """Oracle: a fresh chase of the session's own EDB, answered cold."""
+    fresh = MaterializedProgram(materialized.edb_program())
+    return QuerySession(fresh).answer_many(queries).answers
 
 
-def _run_one_size(size: int):
+def _replay_one_size(size: int) -> None:
     workload = generate_workload(WorkloadSpec(
         dimensions=1, depth=3, fanout=3, top_members=2, base_relations=1,
         upward_rules=True, downward_rules=False, seed=13,
         tuples_per_relation=size))
-    program = workload.ontology.program()
     queries = _query_batch(workload)
     stream = generate_update_stream(workload, steps=STEPS, adds_per_step=3,
                                     retracts_per_step=2, seed=7)
+    materialized = MaterializedProgram(workload.ontology.program())
+    session = QuerySession(materialized)
+    session.answer_many(queries)  # warm caches (the session posture)
+    for index, step in enumerate(stream):
+        materialized.add_facts(step.adds)
+        materialized.retract_facts(step.retracts)
+        assert session.answer_many(queries).answers == \
+            _recomputed(materialized, queries), f"size {size}, step {index}"
 
-    maintained, m_session, m_answers, m_seconds = _replay(
-        program, stream, queries, maintain=True)
-    baseline, b_session, b_answers, b_seconds = _replay(
-        program, stream, queries, maintain=False)
-
-    # Differential: identical answers after every step, and the maintained
-    # path must have actually maintained (never silently fallen back).
-    assert m_answers == b_answers
-    assert m_session.stats.answers_maintained > 0
-    assert m_session.stats.maintenance_fallbacks == 0
-    assert maintained.stats.full_rechases == 0
-    assert baseline.stats.full_rechases == 0
-
-    return {
-        "tuples_per_relation": size,
-        "extensional_facts": workload.total_facts(),
-        "queries": len(queries),
-        "update_steps": len(stream),
-        "maintained_seconds_per_step": round(m_seconds, 6),
-        "invalidate_seconds_per_step": round(b_seconds, 6),
-        "speedup": round(b_seconds / m_seconds, 2) if m_seconds > 0
-        else float("inf"),
-        "answers_maintained": m_session.stats.answers_maintained,
-        "maintained_cache": {"hits": m_session.stats.cache_hits,
-                             "misses": m_session.stats.cache_misses},
-        "invalidate_cache": {"hits": b_session.stats.cache_hits,
-                             "misses": b_session.stats.cache_misses},
-    }
+    # The maintained path must have actually maintained (never silently
+    # fallen back to re-answering or re-chasing).
+    assert session.stats.answers_maintained > 0
+    assert session.stats.maintenance_fallbacks == 0
+    assert materialized.stats.full_rechases == 0
 
 
-def _interning_microbench(rows: int = 20_000, distinct: int = 64,
-                          probes: int = 200_000):
-    """Probe cost of rows built from interned vs freshly-allocated strings."""
-    fresh = [("member" + str(index % distinct) + "_payload",
-              "ward" + str(index % 7), float(index % 11))
-             for index in range(rows)]
-    interner = ValueInterner()
-    interned = [interner.intern_row(row) for row in fresh]
-
-    def probe(table):
-        stored = set(table)
-        start = time.perf_counter()
-        hits = 0
-        for index in range(probes):
-            if table[index % rows] in stored:
-                hits += 1
-        assert hits == probes
-        return time.perf_counter() - start
-
-    fresh_seconds = probe(fresh)
-    interned_seconds = probe(interned)
-    return {
-        "rows": rows,
-        "distinct_constants": distinct,
-        "probes": probes,
-        "fresh_seconds": round(fresh_seconds, 6),
-        "interned_seconds": round(interned_seconds, 6),
-        "speedup": round(fresh_seconds / interned_seconds, 2)
-        if interned_seconds > 0 else float("inf"),
-    }
-
-
-def test_maintained_answers_beat_invalidate_and_reanswer():
-    """Maintained ≡ re-answered at every size; ≥5× faster at the largest."""
-    trajectory = [_run_one_size(size) for size in SIZES]
-    interning = _interning_microbench(rows=2_000 if SMOKE else 20_000,
-                                      probes=20_000 if SMOKE else 200_000)
-
-    largest = trajectory[-1]
-    if MIN_SPEEDUP:
-        assert largest["speedup"] >= MIN_SPEEDUP, (
-            f"maintained update→answer cycle only {largest['speedup']}x "
-            f"faster than invalidate-and-reanswer at the largest size; "
-            f"trajectory: {trajectory}")
-
-    if SMOKE:
-        return  # tiny sizes would pollute the recorded trajectory
-
-    history = []
-    if ARTIFACT.exists():
-        try:
-            history = json.loads(
-                ARTIFACT.read_text(encoding="utf-8")).get("runs", [])
-        except (json.JSONDecodeError, AttributeError):
-            history = []
-    run_record = {
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "trajectory": trajectory,
-        "interning": interning,
-    }
-    history = (history + [run_record])[-20:]
-    ARTIFACT.write_text(json.dumps({
-        "experiment": "E14-answer-maintenance",
-        "workload": {"dimensions": 1, "depth": 3, "fanout": 3,
-                     "upward_rules": True, "seed": 13,
-                     "adds_per_step": 3, "retracts_per_step": 2},
-        "sizes": list(SIZES),
-        "trajectory": trajectory,
-        "interning": interning,
-        "runs": history,
-    }, indent=2) + "\n", encoding="utf-8")
-    assert ARTIFACT.exists()
+def test_maintained_answers_equal_recomputed():
+    """After every update step, maintained answers == recomputed answers."""
+    for size in SIZES:
+        _replay_one_size(size)

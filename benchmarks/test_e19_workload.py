@@ -10,28 +10,23 @@ shows up as coordinated-omission debt in the corrected percentiles
 instead of silently lowering the offered rate — the number this gate
 reads is the honest one.
 
-The numbers land in ``BENCH_workload.json`` (with run history).
-``REPRO_BENCH_SMOKE=1`` shrinks the run for CI and skips the gate and
-the artifact write.
+``REPRO_BENCH_SMOKE=1`` shrinks the run for CI and skips the gate.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List
+from typing import List
 
 import repro
 from repro.scenarios import build_scenario
 from repro.serving import ServingClient
 from repro.workloads.driver import (ClientTarget, TrafficSpec,
                                     compile_schedule, run_schedule)
-
-ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_workload.json"
 
 SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 QPS = 100.0 if SMOKE else 1000.0
@@ -123,33 +118,3 @@ def test_mixed_open_loop_traffic_served_clean(tmp_path):
             f"{query_p99 * 1000:.1f}ms — over {MAX_P99_RATIO}x the "
             f"unloaded {baseline_p99 * 1000:.1f}ms baseline (budget "
             f"{budget * 1000:.1f}ms)")
-
-    if SMOKE:
-        return  # tiny runs would pollute the recorded history
-
-    history: List[Dict] = []
-    if ARTIFACT.exists():
-        try:
-            history = json.loads(
-                ARTIFACT.read_text(encoding="utf-8")).get("runs", [])
-        except (json.JSONDecodeError, AttributeError):
-            history = []
-    run_record = {
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%S"),
-        "scenario": scenario.name,
-        "offered_qps": QPS,
-        "duration_seconds": DURATION,
-        "workers": WORKERS,
-        "unloaded_query_p99_ms": round(baseline_p99 * 1000, 3),
-        "report": report.as_dict(),
-    }
-    history.append(run_record)
-    ARTIFACT.write_text(
-        json.dumps({"experiment": "E19 open-loop mixed workload",
-                    "gate": "zero protocol errors; loaded query p99 <= "
-                            f"{MAX_P99_RATIO}x unloaded (floor "
-                            f"{int(P99_FLOOR_SECONDS * 1000)}ms)",
-                    "latest": run_record,
-                    "runs": history[-20:]},
-                   indent=2, sort_keys=True) + "\n",
-        encoding="utf-8")

@@ -10,7 +10,7 @@ synthetic workload:
    inserts and retractions through the delta-driven chase (retractions via
    the recorded provenance of derived facts);
 2. a ``QuerySession`` answers the workload's query batch against the live
-   materialization, reusing cached parses and join plans across updates;
+   materialization, keeping cached answers maintained across updates;
 3. a ``QualitySession`` keeps each assessed relation's ``|R ∩ R_q|``
    count by delta, so re-assessing after an update reads counters.
 

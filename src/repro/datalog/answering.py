@@ -17,6 +17,7 @@ rewriting (:mod:`repro.datalog.rewriting`) are validated against.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, Optional, Sequence, Tuple
 
 from ..engine.matching import Matcher, matcher_for
@@ -81,6 +82,17 @@ def evaluate_query_counts(query: ConjunctiveQuery, instance: DatabaseInstance,
     return counts
 
 
+def answer_sort_key(row: AnswerTuple) -> Tuple[str, ...]:
+    """The canonical sort key of an answer row: its values as strings."""
+    return tuple(map(str, row))
+
+
+def _answer_rows(counts: AnswerCounts, allow_nulls: bool):
+    return counts if allow_nulls else \
+        [row for row in counts
+         if not any(isinstance(value, Null) for value in row)]
+
+
 def rows_from_counts(counts: AnswerCounts,
                      allow_nulls: bool = False) -> Tuple[AnswerTuple, ...]:
     """The (sorted, deduplicated) answer rows of a support-count multiset.
@@ -89,10 +101,24 @@ def rows_from_counts(counts: AnswerCounts,
     containing labeled nulls are dropped.  Returns an immutable tuple — the
     session layer hands it out on cache hits without copying.
     """
-    rows = counts if allow_nulls else \
-        [row for row in counts
-         if not any(isinstance(value, Null) for value in row)]
-    return tuple(sorted(rows, key=lambda row: tuple(map(str, row))))
+    return tuple(sorted(_answer_rows(counts, allow_nulls),
+                        key=answer_sort_key))
+
+
+def sorted_rows_and_keys(counts: AnswerCounts, allow_nulls: bool = False
+                         ) -> Tuple[Tuple[AnswerTuple, ...],
+                                    Tuple[Tuple[str, ...], ...]]:
+    """:func:`rows_from_counts` plus the parallel tuple of sort keys.
+
+    One key per row, built once, and one stable sort on the key alone, so
+    rows whose keys tie (``1`` and ``"1"``) keep the order of ``counts``,
+    exactly as in :func:`rows_from_counts`.  The session layer keeps the
+    keys to patch the sorted rows by bisection.
+    """
+    rows = _answer_rows(counts, allow_nulls)
+    keyed = sorted(zip(map(answer_sort_key, rows), rows), key=itemgetter(0))
+    return (tuple(map(itemgetter(1), keyed)),
+            tuple(map(itemgetter(0), keyed)))
 
 
 def evaluate_query(query: ConjunctiveQuery, instance: DatabaseInstance,

@@ -16,10 +16,9 @@ between calls instead of re-running the chase per call:
   back to a full re-chase when provenance is ambiguous (EGD merges have
   rewritten rows, or provenance was not recorded).
 * :class:`QuerySession` answers conjunctive queries over a materialized
-  program, caching parsed queries and selectivity-ordered join plans keyed
-  by (program version, query); :meth:`~QuerySession.answer_many` batches a
-  whole workload and reports the
-  :class:`~repro.engine.stats.EngineStats` delta of the batch.
+  program, caching parsed queries and answers by query text;
+  :meth:`~QuerySession.answer_many` batches a whole workload and reports
+  the :class:`~repro.engine.stats.EngineStats` delta of the batch.
 * Cached answers are **maintained, not recomputed**: each answered query
   keeps a :class:`MaintainedAnswers` entry — counting-based incremental
   view maintenance state mapping every answer row to the number of body
@@ -49,9 +48,8 @@ from itertools import chain
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
-from ..datalog.answering import (AnswerCounts, evaluate_query_counts,
-                                 rows_from_counts)
-from ..datalog.atoms import Atom
+from ..datalog.answering import (AnswerCounts, answer_sort_key,
+                                 evaluate_query_counts, sorted_rows_and_keys)
 from ..datalog.chase import ChaseEngine, ChaseResult, Fact, RESTRICTED
 from ..datalog.parser import parse_query
 from ..datalog.program import DatalogProgram
@@ -61,7 +59,7 @@ from ..datalog.unify import comparison_bindings
 from ..errors import UnknownRelationError
 from ..relational.instance import DatabaseInstance
 from ..relational.values import Null, NullFactory
-from .matching import DeltaJoinPlan, Matcher, matcher_for, resolve_engine
+from .matching import DeltaJoinPlan, Matcher, matcher_for
 from .stats import EngineStats
 from .versioning import (InstanceVersion, ReadTransaction, RelationDeltas,
                          VersionStore)
@@ -141,7 +139,7 @@ class MaintainedAnswers:
     ``counts`` maps every answer row — projected from the body valuations,
     labeled nulls included — to the number of distinct valuations deriving
     it.  An update's fact delta moves the counts by ±1 per affected
-    valuation (:meth:`QuerySession._maintain_answers`); a row is an answer
+    valuation (:meth:`QuerySession._maintain_entries`); a row is an answer
     while its count is positive, so both certain answers (nulls dropped)
     and raw answers derive from the same entry without re-joining.
 
@@ -159,8 +157,7 @@ class MaintainedAnswers:
     key-building sort over a large cached answer set.
     """
 
-    __slots__ = ("cq", "key", "counts", "version", "plan", "_rows",
-                 "last_used")
+    __slots__ = ("cq", "key", "counts", "version", "plan", "_rows")
 
     def __init__(self, cq: ConjunctiveQuery, counts: AnswerCounts,
                  version: int, plan: Optional[DeltaJoinPlan] = None,
@@ -170,28 +167,16 @@ class MaintainedAnswers:
         self.counts = counts
         self.version = version
         self.plan = plan
-        #: recency stamp driving the session's support-count budget (LRU)
-        self.last_used = 0
         #: per flavour: (sorted answer rows, their parallel sort keys)
         self._rows: Dict[bool, Tuple[Answers, Tuple[Tuple[str, ...], ...]]] = {}
-
-    @staticmethod
-    def _sort_key(row: AnswerTuple) -> Tuple[str, ...]:
-        return tuple(map(str, row))
 
     def rows(self, allow_nulls: bool = False) -> Answers:
         """The (sorted, immutable) answer rows; memoized per flavour."""
         cached = self._rows.get(allow_nulls)
         if cached is None:
-            rows = rows_from_counts(self.counts, allow_nulls)
-            cached = (rows, tuple(self._sort_key(row) for row in rows))
+            cached = sorted_rows_and_keys(self.counts, allow_nulls)
             self._rows[allow_nulls] = cached
         return cached[0]
-
-    def _seed_rows(self, allow_nulls: bool, rows: Answers) -> None:
-        """Install a freshly computed flavour (initial build)."""
-        self._rows[allow_nulls] = (rows,
-                                   tuple(self._sort_key(row) for row in rows))
 
     def _patch_rows(self, previous: "MaintainedAnswers",
                     vanished: Set[AnswerTuple],
@@ -213,8 +198,8 @@ class MaintainedAnswers:
         is simply recomputed on the fresh entry's first read.
         """
         both = vanished.intersection(appeared)
-        moved = [(row, self._sort_key(row), True) for row in vanished - both]
-        moved += [(row, self._sort_key(row), False) for row in appeared
+        moved = [(row, answer_sort_key(row), True) for row in vanished - both]
+        moved += [(row, answer_sort_key(row), False) for row in appeared
                   if row not in both]
         for flavor, (rows, keys) in list(previous._rows.items()):
             if not moved:
@@ -618,7 +603,8 @@ class MaterializedProgram:
         provenance cone); the facts the maintenance chase derived are
         drained from the provenance log on top.  When EGD merges ran (or no
         provenance is recorded) the delta is unreconstructable and reported
-        as ``None`` — sessions then invalidate instead of maintain.
+        as ``None`` — sessions then drop cached answers instead of
+        maintaining them.
         """
         if result.egd_merges:
             self._ambiguous = True
@@ -700,7 +686,7 @@ class MaterializedProgram:
         return load_program(path, program=program, engine=engine)
 
     def _publish(self, update: UpdateResult) -> None:
-        """Maintain/invalidate session caches and publish the new version.
+        """Maintain (or drop) session answers and publish the new version.
 
         The expensive work — the relation copies a publication still needs
         and the delta joins that maintain cached answers — runs *before*
@@ -711,7 +697,7 @@ class MaterializedProgram:
         publication of the new version, so a reader can never pin the new
         version while a cache still serves the old version's answers, nor
         store stale answers after the swap — the reader-side counterpart is
-        ``QuerySession._answers_at``.  Deletion deltas are joined against
+        ``QuerySession._entry_at``.  Deletion deltas are joined against
         the *previous published version* (where the removed facts still
         exist) — which is why that join runs before ``publish`` advances
         the previous version's relations in place by the update's fact
@@ -743,7 +729,7 @@ class MaterializedProgram:
         previous = self.versions.latest_instance()  # unpinned: writer-only
         sessions = list(self._sessions)
         maintained = [(session,
-                       session._maintain_answers(update, previous,
+                       session._maintain_entries(update, previous,
                                                  self.instance, self.version))
                       for session in sessions]
         with self.versions.lock:
@@ -785,72 +771,45 @@ class MaterializedProgram:
 class QuerySession:
     """Answer many queries over one materialization, caching the plumbing.
 
-    Caches, all keyed by query text:
+    Two caches, both keyed by query text:
 
     * **parsed queries** — parse once per distinct query;
-    * **join plans** — the selectivity order of the body atoms, replayed
-      through the matcher with ``preordered=True``;
-    * **maintained answers** — :class:`MaintainedAnswers` support counts,
-      updated *in place* from every update's fact delta (the owning
+    * **maintained answers** — one :class:`MaintainedAnswers` entry per
+      answered query: support counts seeded by the first read and updated
+      *in place* from every update's fact delta (the owning
       :class:`MaterializedProgram` drives maintenance through
-      ``_maintain_answers``/``_note_update``), so a cache hit costs one
+      ``_maintain_entries``/``_note_update``), so a cache hit costs one
       dictionary lookup and re-answering happens only when an update was
       too ambiguous to maintain (EGD merges, full re-chases) — tracked by
-      the ``answers_maintained``/``maintenance_fallbacks`` stats counters;
-    * **answers** — plain version-stamped answer tuples, used when
-      maintenance is disabled (``maintain_answers=False`` restores the
-      predicate-invalidation behaviour, e.g. for baselines).
+      the ``answers_maintained``/``maintenance_fallbacks`` stats counters.
 
-    An update refreshes or drops only the answer entries its fact delta
-    can reach, found through a routing index over the cached queries'
-    body predicates and bound constants (:class:`_RoutingIndex`); plans
-    drop per changed body predicate.  An update whose delta is unknown
-    falls back to dropping every entry under a changed predicate, and one
-    with unknown impact (EGD merges) drops everything.
+    An update refreshes or drops only the entries its fact delta can
+    reach, found through a routing index over the cached queries' body
+    predicates and bound constants (:class:`_RoutingIndex`).  An update
+    whose delta is unknown falls back to dropping every entry under a
+    changed predicate, and one with unknown impact (EGD merges) drops
+    everything.
     """
 
-    def __init__(self, materialized: Union[MaterializedProgram, DatalogProgram],
-                 engine: Optional[str] = None, maintain_answers: bool = True,
-                 support_budget: Optional[int] = None):
-        if isinstance(materialized, DatalogProgram):
-            materialized = MaterializedProgram(materialized, engine=engine)
+    def __init__(self, materialized: MaterializedProgram):
         self.materialized = materialized
-        self.engine = resolve_engine(engine) if engine is not None \
-            else materialized.engine
-        #: maintain cached answers by delta (counting IVM); ``False`` falls
-        #: back to predicate-level invalidation + re-answering
-        self.maintain_answers = maintain_answers
-        #: bound on the total maintained support-count rows held across all
-        #: :class:`MaintainedAnswers` entries (``None`` = unbounded).  When
-        #: exceeded, least-recently-used entries are evicted (counted in
-        #: ``stats.support_evictions``); the most recently used entry is
-        #: always retained, and an evicted query simply re-answers and
-        #: re-seeds on its next read.
-        self.support_budget = support_budget
-        self._support_clock = 0
+        self.engine = materialized.engine
         #: lifetime matching work + cache counters of this session
         self.stats = EngineStats(engine=self.engine)
         self._matcher: Matcher = matcher_for(self.engine, self.stats)
         self._parsed: Dict[str, ConjunctiveQuery] = {}
-        self._plans: Dict[str, Tuple[ConjunctiveQuery, List[Atom]]] = {}
-        #: answer cache entries are (query, version-stamp, answers): an entry
-        #: is valid for every reader at version >= its stamp, because the
-        #: owning program would have invalidated it had a later update's
-        #: delta reached the query
-        self._answers: Dict[Tuple[str, bool],
-                            Tuple[ConjunctiveQuery, int, Answers]] = {}
-        #: maintained support counts per query text (same validity rule)
+        #: maintained support counts per query text: an entry is valid for
+        #: every reader at version >= its stamp, because the owning program
+        #: would have replaced (or dropped) it had a later update's delta
+        #: reached the query
         self._maintained: Dict[str, MaintainedAnswers] = {}
-        #: routes update deltas to the query texts of ``_maintained`` /
-        #: ``_answers`` entries, and changed predicates to ``_plans`` keys;
-        #: both move with their caches, under the version store's lock
+        #: routes update deltas to the query texts of ``_maintained``; both
+        #: move together, under the version store's lock
         self._routes = _RoutingIndex()
-        self._plan_routes = _RoutingIndex()
         self._ws_solver = None
         self._ws_version: Optional[Tuple[int, Optional[int]]] = None
         materialized._sessions.append(self)
-        if self.maintain_answers:
-            self._adopt_restored()
+        self._adopt_restored()
 
     def _adopt_restored(self) -> None:
         """Adopt maintained answers restored from a snapshot (first session).
@@ -887,31 +846,7 @@ class QuerySession:
         self._parsed[query] = parsed
         return parsed
 
-    def plan(self, query: QueryLike,
-             instance: Optional[DatabaseInstance] = None) -> List[Atom]:
-        """The join plan for ``query`` against the current materialization."""
-        cq = self.query(query)
-        key = str(cq)
-        entry = self._plans.get(key)
-        if entry is not None:
-            self.stats.cache_hits += 1
-            return entry[1]
-        self.stats.cache_misses += 1
-        bound = comparison_bindings(cq.comparisons)
-        if instance is None:
-            # Plan against a *pinned* version: the writer may advance an
-            # unpinned published relation in place under the planner.
-            with self.read() as transaction:
-                plan = self._matcher.plan(cq.body, transaction.instance,
-                                          bound=bound)
-        else:
-            plan = self._matcher.plan(cq.body, instance, bound=bound)
-        with self.materialized.versions.lock:  # where the routes move
-            self._plans[key] = (cq, plan)
-            self._plan_routes.add(key, cq)
-        return plan
-
-    def _maintain_answers(self, update: UpdateResult,
+    def _maintain_entries(self, update: UpdateResult,
                           previous: DatabaseInstance,
                           working: DatabaseInstance,
                           version: int) -> List[MaintainedAnswers]:
@@ -936,7 +871,7 @@ class QuerySession:
         to drop, and each fallback is counted in
         ``stats.maintenance_fallbacks``.
         """
-        if not self.maintain_answers or not self._maintained:
+        if not self._maintained:
             return []
         changed = update.changed_predicates
         if changed is not None and not changed:
@@ -994,7 +929,6 @@ class QuerySession:
                     appeared[row] = None
                 counts[row] = support + gained
             fresh = MaintainedAnswers(cq, counts, version, plan, entry.key)
-            fresh.last_used = entry.last_used  # maintenance is not a *use*
             fresh._patch_rows(entry, vanished, list(appeared))
             fresh.rows()  # warm the certain flavour outside the lock
             refreshed.append(fresh)
@@ -1003,76 +937,37 @@ class QuerySession:
 
     def _note_update(self, update: UpdateResult,
                      refreshed: Sequence[MaintainedAnswers] = ()) -> None:
-        """Swap in maintained answers; invalidate what could not be kept.
+        """Swap in maintained answers; drop what could not be kept.
 
         Called under the version store's lock, atomically with the
-        publication of the new version.  Every answer entry the update's
-        delta reaches is dropped — re-routed here, under the lock, so an
-        entry a reader filed after ``_maintain_answers`` ran is caught too —
-        then the entries ``_maintain_answers`` refreshed are installed in
-        their place.  Plans drop per changed body predicate.  A delta that
-        is unknown drops every entry under a changed predicate, unknown
-        impact (``changed_predicates is None``) everything.  Updates whose
-        delta is empty (``changed_predicates == set()``, e.g. inserting a
-        fact that already existed as a derived fact) touch nothing and
-        invalidate nothing — cached answers keep hitting.
+        publication of the new version.  Every entry the update's delta
+        reaches is dropped — re-routed here, under the lock, so an entry a
+        reader filed after ``_maintain_entries`` ran is caught too — then
+        the entries ``_maintain_entries`` refreshed are installed in their
+        place.  A delta that is unknown drops every entry under a changed
+        predicate, unknown impact (``changed_predicates is None``)
+        everything.  Updates whose delta is empty (``changed_predicates ==
+        set()``, e.g. inserting a fact that already existed as a derived
+        fact) touch nothing and drop nothing — cached answers keep hitting.
         """
         changed = update.changed_predicates
         if changed is not None and not changed:
             return
         if changed is None:
-            self._plans.clear()
-            self._plan_routes.clear()
             dropped = set(self._routes)
+        elif update.added_facts is None or update.removed_facts is None:
+            dropped = self._routes.under(changed)
         else:
-            for key in self._plan_routes.under(changed):
-                self._plans.pop(key, None)
-                self._plan_routes.discard(key)
-            if update.added_facts is None or update.removed_facts is None:
-                dropped = self._routes.under(changed)
-            else:
-                dropped = self._routes.reached(
-                    chain(update.removed_facts, update.added_facts))
+            dropped = self._routes.reached(
+                chain(update.removed_facts, update.added_facts))
         for key in dropped:
             self._maintained.pop(key, None)
-            self._answers.pop((key, False), None)
-            self._answers.pop((key, True), None)
         for entry in refreshed:
             self._maintained[entry.key] = entry
             self._routes.add(entry.key, entry.cq)
         for key in dropped:
             if key not in self._maintained:
                 self._routes.discard(key)
-        self._evict_support()
-
-    def _touch_entry(self, entry: MaintainedAnswers) -> None:
-        """Stamp ``entry`` as just-used (drives LRU support eviction)."""
-        self._support_clock += 1
-        entry.last_used = self._support_clock
-
-    def _evict_support(self) -> None:
-        """Enforce ``support_budget`` over the maintained support counts.
-
-        Evicts least-recently-used :class:`MaintainedAnswers` entries until
-        the total number of support-count rows fits the budget (the most
-        recently used entry is always kept, so a single oversized answer
-        set cannot thrash).  Runs under the version store's lock, same as
-        every other mutation of ``_maintained``.  Evicted queries lose only
-        cached state: their next read re-answers and re-seeds.
-        """
-        budget = self.support_budget
-        if budget is None or len(self._maintained) <= 1:
-            return
-        total = sum(len(entry.counts) for entry in self._maintained.values())
-        while total > budget and len(self._maintained) > 1:
-            victim = min(self._maintained.values(),
-                         key=lambda entry: entry.last_used)
-            self._maintained.pop(victim.key, None)
-            # a maintaining session never fills _answers: nothing else
-            # keeps the key filed
-            self._routes.discard(victim.key)
-            total -= len(victim.counts)
-            self.stats.support_evictions += 1
 
     # -- answering ----------------------------------------------------------
 
@@ -1101,49 +996,44 @@ class QuerySession:
         with self.read() as transaction:
             return transaction.answers(query, allow_nulls=allow_nulls)
 
-    def _answers_at(self, pinned: InstanceVersion, query: QueryLike,
-                    allow_nulls: bool = False) -> Answers:
+    def _entry_at(self, pinned: InstanceVersion, query: QueryLike,
+                  allow_nulls: bool) -> MaintainedAnswers:
+        """The maintained entry of ``query`` valid at ``pinned``.
+
+        A miss answers the query over the pinned instance and seeds a fresh
+        entry, its ``allow_nulls`` rows sorted before the store lock is
+        taken.  The entry is filed only when this read still sees the
+        latest version; the check-and-store runs under the store lock,
+        which the writer holds across answer maintenance + publication, so
+        a reader of an old version can never re-introduce answers a newer
+        update replaced.
+        """
         cq = self.query(query)
         key = str(cq)
         entry = self._maintained.get(key)
         if entry is not None and entry.version <= pinned.version:
             self.stats.cache_hits += 1
-            self._touch_entry(entry)
-            return entry.rows(allow_nulls)
-        cache_key = (key, allow_nulls)
-        cached = self._answers.get(cache_key)
-        if cached is not None and cached[1] <= pinned.version:
-            self.stats.cache_hits += 1
-            return cached[2]
+            return entry
         self.stats.cache_misses += 1
         instance = pinned.instance
-        ordered = self.plan(cq, instance)
+        plan = self._matcher.plan(cq.body, instance,
+                                  bound=comparison_bindings(cq.comparisons))
         counts = evaluate_query_counts(cq, instance, matcher=self._matcher,
-                                       plan=ordered)
-        result = rows_from_counts(counts, allow_nulls)
-        # Store only when this read still sees the latest version; the
-        # check-and-store runs under the store lock, which the writer holds
-        # across answer maintenance + publication, so a reader of an old
-        # version can never re-introduce answers a newer update replaced.
+                                       plan=plan)
+        fresh = MaintainedAnswers(cq, counts, pinned.version, key=key)
+        fresh.rows(allow_nulls)
         store = self.materialized.versions
         with store.lock:
             if store.latest().version == pinned.version:
-                if self.maintain_answers:
-                    existing = self._maintained.get(key)
-                    if existing is None or existing.version <= pinned.version:
-                        fresh = MaintainedAnswers(cq, counts, pinned.version,
-                                                  key=key)
-                        fresh._seed_rows(allow_nulls, result)
-                        self._touch_entry(fresh)
-                        self._maintained[key] = fresh
-                        self._routes.add(key, cq)
-                        self._evict_support()
-                else:
-                    previous = self._answers.get(cache_key)
-                    if previous is None or previous[1] <= pinned.version:
-                        self._answers[cache_key] = (cq, pinned.version, result)
-                        self._routes.add(key, cq)
-        return result
+                existing = self._maintained.get(key)
+                if existing is None or existing.version <= pinned.version:
+                    self._maintained[key] = fresh
+                    self._routes.add(key, cq)
+        return fresh
+
+    def _answers_at(self, pinned: InstanceVersion, query: QueryLike,
+                    allow_nulls: bool = False) -> Answers:
+        return self._entry_at(pinned, query, allow_nulls).rows(allow_nulls)
 
     def holds(self, query: QueryLike) -> bool:
         """``True`` iff the (boolean) query body matches the materialization."""
@@ -1157,26 +1047,9 @@ class QuerySession:
         i.e. iff the maintained support counts are non-empty (nulls
         included) — so a boolean read is served from the same
         :class:`MaintainedAnswers` entry as ``answers``, and updates move
-        it by delta instead of re-running the join.  Only when maintenance
-        is disabled does the session fall back to the first-match
-        early-exit scan (cheaper for one-shot probes, but re-done on every
-        call).
+        it by delta instead of re-running the join.
         """
-        cq = self.query(query)
-        entry = self._maintained.get(str(cq))
-        if entry is not None and entry.version <= pinned.version:
-            self.stats.cache_hits += 1
-            self._touch_entry(entry)
-            return bool(entry.counts)
-        if self.maintain_answers:
-            return bool(self._answers_at(pinned, cq, allow_nulls=True))
-        instance = pinned.instance
-        ordered = self.plan(cq, instance)
-        for _ in self._matcher.find_homomorphisms(
-                ordered, instance,
-                comparisons=cq.comparisons, preordered=True):
-            return True
-        return False
+        return bool(self._entry_at(pinned, query, allow_nulls=True).counts)
 
     def answer_many(self, queries: Sequence[QueryLike],
                     allow_nulls: bool = False) -> BatchAnswers:
@@ -1207,4 +1080,4 @@ class QuerySession:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (f"QuerySession({self.materialized!r}, "
-                f"{len(self._parsed)} parsed, {len(self._plans)} plans)")
+                f"{len(self._parsed)} parsed, {len(self._maintained)} answered)")

@@ -41,8 +41,8 @@ class EngineStats:
     rules_skipped_by_delta: int = 0
     #: rows rewritten by EGD merges (touched via the null-occurrence index)
     rows_rewritten: int = 0
-    #: session-cache lookups answered from the cache (parsed queries, join
-    #: plans, quality rewritings, cached assessments)
+    #: session-cache lookups answered from the cache (parsed queries,
+    #: maintained answers, quality rewritings, cached assessments)
     cache_hits: int = 0
     #: session-cache lookups that had to compute and store a fresh entry
     cache_misses: int = 0
@@ -69,9 +69,6 @@ class EngineStats:
     rows_batch_scanned: int = 0
     #: specialized join functions replayed from the columnar codegen cache
     codegen_cache_hits: int = 0
-    #: maintained answer-count entries evicted to honor the session's
-    #: support-count budget (their next read re-answers and re-seeds)
-    support_evictions: int = 0
     #: TGD triggers applied through the batched (set-at-a-time) trigger
     #: path: grouped head instantiation + bulk insert, instead of one
     #: homomorphism at a time

@@ -104,9 +104,10 @@ class VersionStore:
     """Published versions of one materialization, with pin-based GC.
 
     All methods are thread-safe.  The :attr:`lock` is public on purpose:
-    the session layer takes it to make *invalidate caches + publish* (the
-    writer) and *re-check latest + store a cache entry* (a reader) atomic
-    with respect to each other — see ``QuerySession._answers_at``.
+    the session layer takes it to make *swap in maintained answers +
+    publish* (the writer) and *re-check latest + store a cache entry* (a
+    reader) atomic with respect to each other — see
+    ``QuerySession._entry_at``.
     """
 
     def __init__(self):

@@ -11,12 +11,10 @@ program is chased **once** into a
   update's fact delta, so :meth:`~QualitySession.assess` reads counters
   instead of comparing tuple sets;
 * quality (clean) query answering caches the ``Q -> Q^q`` rewriting per
-  query and evaluates through a :class:`~repro.engine.session.QuerySession`
-  (cached parse + join plan), so quality-version queries ride the same
-  counting-based answer maintenance as plain queries: an update moves the
-  cached quality answers by its fact delta instead of re-running the
-  rewritten join (``maintain_answers=False`` restores pure
-  predicate-level invalidation);
+  query and evaluates through a :class:`~repro.engine.session.QuerySession`,
+  so quality-version queries ride the same counting-based answer
+  maintenance as plain queries: an update moves the cached quality answers
+  by its fact delta instead of re-running the rewritten join;
 * :meth:`add_facts` / :meth:`retract_facts` apply an update to the instance
   under assessment (or to any other EDB relation of the context program —
   external sources, dimensional data) and maintain the materialization
@@ -49,8 +47,7 @@ class QualitySession:
 
     def __init__(self, context: Context, instance: DatabaseInstance,
                  engine: Optional[str] = None, max_steps: int = 100_000,
-                 record_provenance: bool = True,
-                 maintain_answers: bool = True):
+                 record_provenance: bool = True):
         self.context = context
         #: private copy of the instance under assessment, kept in sync with
         #: the materialization across updates
@@ -58,12 +55,11 @@ class QualitySession:
         self.materialized = MaterializedProgram(
             context.assemble(self.instance), engine=engine, max_steps=max_steps,
             record_provenance=record_provenance)
-        self._init_caches(maintain_answers)
+        self._init_caches()
 
-    def _init_caches(self, maintain_answers: bool = True) -> None:
+    def _init_caches(self) -> None:
         """Caches and counts, shared by construction and :meth:`load`."""
-        self.query_session = QuerySession(self.materialized,
-                                          maintain_answers=maintain_answers)
+        self.query_session = QuerySession(self.materialized)
         #: cache counters of this session's quality-layer caches (the chase
         #: and matching work is counted by ``materialized.stats``)
         self.stats = EngineStats(engine=self.materialized.engine)
@@ -144,7 +140,7 @@ class QualitySession:
 
         Answers are an immutable tuple served from the underlying query
         session's maintained cache; updates move them by delta rather than
-        invalidating them (see :mod:`repro.engine.session`).
+        dropping them (see :mod:`repro.engine.session`).
         """
         key = query if isinstance(query, str) else str(query)
         rewritten = self._rewritten.get(key)

@@ -4,9 +4,8 @@ Covers the :class:`~repro.relational.values.ValueCatalog`, the
 :class:`~repro.relational.columns.ColumnStore` kept in sync by
 ``Relation.add``/``discard``, the copy-on-write ``Relation.snapshot()``
 (the MVCC-publish fix: an untouched relation shares one cached clone
-instead of re-copying its pattern indexes per publication), and the query
-session's support-count budget (LRU eviction of maintained answer counts,
-billed to ``stats.support_evictions``).
+instead of re-copying its pattern indexes per publication), and the
+columnar session's freedom from third-party imports.
 """
 
 from __future__ import annotations
@@ -19,7 +18,7 @@ from pathlib import Path
 
 import repro
 from repro.datalog import parse_program
-from repro.engine.session import MaterializedProgram, QuerySession
+from repro.engine.session import MaterializedProgram
 from repro.relational.columns import ColumnStore, index_delta_merge_count
 from repro.relational.instance import DatabaseInstance
 from repro.relational.values import value_catalog
@@ -227,61 +226,6 @@ def test_publish_reuses_snapshot_for_untouched_relations():
     assert (5, 6) in v3.instance.relation("r")
     assert v1.version < v2.version < v3.version
     versions.unpin(v3)
-
-
-# -- support-count budget -----------------------------------------------------
-
-
-def _session_with_queries(support_budget):
-    program = parse_program("""
-        edge(1,2). edge(2,3). edge(3,4). edge(4,5).
-        path(X,Y) :- edge(X,Y).
-        path(X,Z) :- path(X,Y), edge(Y,Z).
-    """)
-    session = QuerySession(MaterializedProgram(program),
-                           support_budget=support_budget)
-    queries = ["q(X) :- path(X, 5).",
-               "q(X, Y) :- path(X, Y).",
-               "q(Y) :- path(1, Y).",
-               "q(X) :- edge(X, Y), path(Y, 5)."]
-    return session, queries
-
-
-def test_support_budget_evicts_lru_entries():
-    session, queries = _session_with_queries(support_budget=6)
-    baseline = [QuerySession(session.materialized).answers(q) for q in queries]
-    for query in queries:
-        session.answers(query)
-    assert session.stats.support_evictions > 0
-    kept = sum(len(entry.counts) for entry in session._maintained.values())
-    # The budget holds (up to the always-retained most recent entry).
-    recent = max(session._maintained.values(), key=lambda e: e.last_used)
-    assert kept - len(recent.counts) <= 6
-    # Evicted queries still answer correctly (re-answer + re-seed).
-    for query, expected in zip(queries, baseline):
-        assert session.answers(query) == expected
-
-
-def test_unbounded_budget_never_evicts():
-    session, queries = _session_with_queries(support_budget=None)
-    for query in queries:
-        session.answers(query)
-    assert session.stats.support_evictions == 0
-    assert len(session._maintained) == len(queries)
-
-
-def test_eviction_survives_update_maintenance():
-    """Eviction under the publish lock composes with maintenance: evicted
-    entries re-answer correctly after further updates."""
-    session, queries = _session_with_queries(support_budget=6)
-    for query in queries:
-        session.answers(query)
-    session.materialized.add_facts([("edge", (5, 6))])
-    reference = QuerySession(MaterializedProgram(
-        session.materialized.edb_program()))
-    for query in queries:
-        assert session.answers(query) == reference.answers(query), query
-    assert session.stats.support_evictions > 0
 
 
 # -- dependencies -------------------------------------------------------------

@@ -28,7 +28,7 @@ from repro.datalog.answering import (evaluate_query, evaluate_query_counts,
                                      rows_from_counts)
 from repro.datalog.chase import chase
 from repro.engine.matching import DeltaJoinPlan, matcher_for
-from repro.engine.session import MaterializedProgram, QuerySession
+from repro.engine.session import MaterializedProgram
 from repro.relational.values import ValueInterner, intern_value
 
 ENGINES = ("indexed", "naive")
@@ -152,6 +152,16 @@ def test_comparison_queries_are_maintained(engine):
     assert session.answers(query) == (("p",), ("q",), ("s",))
     assert session.answers(query) == _fresh_answers(materialized, query)
 
+    # ``1`` and ``"1"`` share a sort key (``1.0`` is the row ``1``): the
+    # first answer serves them in the order ``rows_from_counts`` gives.
+    tied = "?(V) :- Wide(t, V)."
+    materialized.add_facts([("Narrow", ("t", 1)), ("Narrow", ("t", "1")),
+                            ("Narrow", ("t", 1.0))])
+    served = session.answers(tied)
+    assert sorted(map(repr, served)) == ["('1',)", "(1,)"]
+    assert served == rows_from_counts(
+        session._maintained[str(parse_query(tied))].counts)
+
 
 def test_boolean_query_maintenance():
     materialized = MaterializedProgram(_program())
@@ -221,16 +231,6 @@ def test_holds_fallback_counters_on_egd_merge():
     assert session.holds(query) is True
     assert session.stats.delta(before).cache_misses >= 1  # re-answered
     assert session.holds("? :- HasType(i1, widget).") is True
-
-
-def test_holds_without_maintenance_keeps_early_exit():
-    """``maintain_answers=False`` restores the one-shot early-exit scan."""
-    materialized = MaterializedProgram(_program())
-    session = QuerySession(materialized, maintain_answers=False)
-    before = session.stats.snapshot()
-    assert session.holds(QUERY) is True
-    assert session.stats.delta(before).rows_scanned > 0
-    assert not session._maintained  # nothing was seeded
 
 
 # -- fallback triggers --------------------------------------------------------

@@ -13,7 +13,7 @@ after every step so the maintained entries live across many deltas.
 Where the stream contains no EGD surprises, the suite also asserts the
 maintenance machinery actually ran (``answers_maintained`` grew and no
 fallback fired) — a regression guard against silently degrading to
-invalidate-and-reanswer.
+re-answering.
 """
 
 from __future__ import annotations

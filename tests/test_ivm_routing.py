@@ -2,11 +2,11 @@
 
 A :class:`~repro.engine.session.QuerySession` files its cached queries in
 a routing index by body predicate and bound constant, and an update joins
-(or, without maintenance, invalidates) only the entries one of its delta
-facts can match.  Skipping is sound only if the index never misses a fact
-some engine would match, so ``hypothesis`` generates query sets over a
-small program with an existential rule and hammers them with update
-streams over a value pool built to stress value equality:
+only the entries one of its delta facts can match.  Skipping is sound only
+if the index never misses a fact some engine would match, so
+``hypothesis`` generates query sets over a small program with an
+existential rule and hammers them with update streams over a value pool
+built to stress value equality:
 
 * multi-constant atoms, the same constant twice, repeated variables and
   comparisons against constants;
@@ -15,11 +15,10 @@ streams over a value pool built to stress value equality:
 * labeled nulls flowing through the deltas of the existential rule.
 
 After every update, every maintained entry's support counts must equal a
-from-scratch count over the published version, on all three engines; with
-``maintain_answers=False`` the plain answer cache must invalidate through
-the same index.  Explicit cases pin the counters (``answers_unreached``
-grows with the number of unreached point queries, ``answers_maintained``
-does not), the fallbacks (EGD merges and full re-chases drop — and
+from-scratch count over the published version, on all three engines.
+Explicit cases pin the counters (``answers_unreached`` grows with the
+number of unreached point queries, ``answers_maintained`` does not), the
+fallbacks (EGD merges and full re-chases drop — and
 count — every entry, a delta known only by predicate drops every entry
 under a changed predicate) and the readers that file entries while the
 writer routes a delta.
@@ -132,27 +131,6 @@ def test_routed_maintenance_equals_recount(engine, initial, cqs, stream):
     assert session.stats.maintenance_fallbacks == 0
 
 
-@seed(FAULT_SEED)
-@settings(max_examples=60, deadline=None,
-          suppress_health_check=[HealthCheck.too_slow])
-@pytest.mark.parametrize("engine", ENGINES)
-@given(initial=st.lists(edb_facts, max_size=12),
-       cqs=st.lists(queries(), min_size=1, max_size=6), stream=updates)
-def test_routed_invalidation_equals_recount(engine, initial, cqs, stream):
-    """``maintain_answers=False``: the plain answer cache is invalidated
-    through the same routes, and a kept entry is never stale."""
-    materialized = _materialize(initial, engine)
-    session = QuerySession(materialized, maintain_answers=False)
-    for cq in cqs:
-        session.answers(cq, allow_nulls=True)
-    for action, facts in stream:
-        _apply(materialized, action, facts)
-        for cq in cqs:
-            expected = rows_from_counts(_recount(session, cq), allow_nulls=True)
-            assert set(session.answers(cq, allow_nulls=True)) == set(expected)
-    assert not session._maintained
-
-
 # -- the index itself ---------------------------------------------------------
 
 
@@ -233,31 +211,30 @@ def test_point_update_maintains_one_entry_whatever_the_cache_holds(count):
 
 def test_entry_filed_between_maintenance_and_publication_is_dropped():
     """A reader may file an entry at the still-published version after
-    ``_maintain_answers`` routed the delta; ``_note_update`` routes it again
+    ``_maintain_entries`` routed the delta; ``_note_update`` routes it again
     under the lock, so that entry is dropped instead of served stale."""
     materialized = MaterializedProgram(parse_program("Reading(s0, v0)."))
     session = materialized.queries()
     late = "?(V) :- Reading(s1, V)."
-    maintain = session._maintain_answers
+    maintain = session._maintain_entries
 
     def maintain_then_read(*args):
         refreshed = maintain(*args)
         assert session.answers(late) == ()  # filed at the old version
         return refreshed
 
-    session._maintain_answers = maintain_then_read
+    session._maintain_entries = maintain_then_read
     materialized.add_facts([("Reading", ("s1", "v1"))])
-    del session._maintain_answers
+    del session._maintain_entries
     assert session.answers(late) == (("v1",),)
 
 
 def test_entries_filed_by_concurrent_readers_are_never_left_stale():
-    """Readers file (and, over a tiny support budget, evict) entries while
-    the writer routes deltas.  Every read must equal a recount on its own
+    """Readers file entries while the writer routes deltas.  Every read must equal a recount on its own
     pinned version, and the routes must end in step with the cache."""
     materialized = MaterializedProgram(parse_program("Reading(s0, v0)."),
                                        engine="indexed")
-    session = QuerySession(materialized, support_budget=4)
+    session = QuerySession(materialized)
     texts = [f"?(V) :- Reading(s{index}, V)." for index in range(6)]
     parsed = {text: parse_query(text) for text in texts}
     errors: List[str] = []
@@ -343,7 +320,7 @@ def test_delta_known_by_predicate_only_drops_every_entry_under_it():
     update = UpdateResult(action="add", strategy="incremental",
                           changed_predicates={"HasType"})
     before = session.stats.snapshot()
-    refreshed = session._maintain_answers(update, materialized.instance,
+    refreshed = session._maintain_entries(update, materialized.instance,
                                           materialized.instance,
                                           materialized.version)
     with materialized.versions.lock:

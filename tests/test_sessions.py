@@ -2,7 +2,7 @@
 
 The differential suite (``test_session_differential.py``) proves incremental
 == from-scratch; these tests pin down the API surface: update results, the
-incremental-vs-full decision, cache behaviour and invalidation, stats
+incremental-vs-full decision, cache behaviour and maintenance, stats
 threading, and the hospital scenario's session plumbing.
 """
 
@@ -163,21 +163,6 @@ def test_update_maintains_touched_queries_in_place(materialized):
     assert delta.cache_misses == 0  # both served from maintained entries
     assert delta.cache_hits >= 2
     assert delta.rows_scanned == 0  # no join work at read time
-
-
-def test_update_invalidates_touched_queries_without_maintenance(materialized):
-    session = QuerySession(materialized, maintain_answers=False)
-    touched = "?(P) :- PatientUnit(U, D, P)."
-    untouched = "?(W) :- UnitWard(U, W)."
-    session.answers(touched)
-    session.answers(untouched)
-    materialized.add_facts([("PatientWard", ("W1", "Sep/8", "Patti"))])
-    before = session.stats.snapshot()
-    assert ("Patti",) in session.answers(touched)
-    assert session.answers(untouched) == (("W1",), ("W2",))
-    delta = session.stats.delta(before)
-    assert delta.cache_misses > 0   # the touched query was re-evaluated
-    assert delta.cache_hits > 0     # the untouched one came from cache
 
 
 def test_empty_delta_update_keeps_answer_cache(materialized):
